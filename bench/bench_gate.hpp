@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -100,13 +101,15 @@ inline void write_results_json(const std::string& path,
   write_bench_json(path, root);
 }
 
-/// Returns the number of benchmarks whose cpu time regressed beyond the
-/// threshold. Benchmarks missing from either side are reported, not failed
-/// (the baseline predates newly added benchmarks).
+/// Returns the number of gate failures: benchmarks whose cpu time regressed
+/// beyond the threshold, plus baseline entries missing from the run (a
+/// renamed or deleted benchmark must not pass silently). A benchmark missing
+/// only from the baseline is reported as new, not failed (the baseline
+/// predates newly added benchmarks).
 inline int gate_against_baseline(
     const std::vector<CapturedRun>& runs,
     const std::map<std::string, CapturedRun>& baseline, double threshold_pct) {
-  int regressions = 0;
+  int failures = 0;
   std::printf("\nPerf gate (threshold +%.0f%% cpu time vs baseline):\n",
               threshold_pct);
   std::printf("%-28s %14s %14s %9s\n", "benchmark", "baseline_ns", "cpu_ns",
@@ -123,9 +126,18 @@ inline int gate_against_baseline(
     std::printf("%-28s %14.0f %14.0f %8.2fx%s\n", run.name.c_str(),
                 it->second.cpu_ns, run.cpu_ns, ratio,
                 bad ? "  REGRESSION" : "");
-    if (bad) ++regressions;
+    if (bad) ++failures;
   }
-  return regressions;
+  for (const auto& [name, entry] : baseline) {
+    const bool ran = std::any_of(runs.begin(), runs.end(), [&](const auto& r) {
+      return r.name == name;
+    });
+    if (ran) continue;
+    std::printf("%-28s %14.0f %14s %9s\n", name.c_str(), entry.cpu_ns, "-",
+                "MISSING");
+    ++failures;
+  }
+  return failures;
 }
 
 /// The whole custom main() the gate-capable benchmark binaries share:
@@ -183,11 +195,13 @@ inline int gate_main(int argc, char** argv, const GateMainOptions& opts) {
   }
   if (!baseline_path.empty()) {
     const auto baseline = read_baseline(baseline_path);
-    const int regressions =
+    const int failures =
         gate_against_baseline(reporter.captured, baseline, threshold_pct);
-    if (regressions > 0) {
-      std::fprintf(stderr, "perf gate: %d regression(s) beyond +%.0f%%\n",
-                   regressions, threshold_pct);
+    if (failures > 0) {
+      std::fprintf(stderr,
+                   "perf gate: %d benchmark(s) regressed beyond +%.0f%% or "
+                   "missing from the run\n",
+                   failures, threshold_pct);
       return 1;
     }
     std::printf("perf gate: ok\n");

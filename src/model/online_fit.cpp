@@ -177,13 +177,13 @@ unsigned OnlineEstimators::predict_iterations(unsigned bs) const {
   return per_bs_[bs].predict();
 }
 
-Duration OnlineEstimators::predict_decode(unsigned bs, unsigned mcs,
-                                          Duration fallback) const {
+Duration OnlineEstimators::predict_decode_at(unsigned mcs,
+                                             unsigned iterations,
+                                             Duration fallback) const {
   const unsigned m = std::min(mcs, phy::kMaxMcs);
   return fit_.predict_or(antennas_, phy::modulation_order(m),
                          phy::subcarrier_load(m, num_prb_),
-                         static_cast<double>(predict_iterations(bs)),
-                         fallback);
+                         static_cast<double>(iterations), fallback);
 }
 
 void OnlineEstimators::observe_decode(unsigned bs, unsigned mcs,

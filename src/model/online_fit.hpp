@@ -190,9 +190,12 @@ class OnlineEstimators {
   // Prediction side (consulted before execution) -------------------------
   /// Predicted turbo iterations for `bs` (headroom included, in [1, Lm]).
   unsigned predict_iterations(unsigned bs) const;
-  /// Decode-stage estimate at the predicted iteration count for `bs`, or
-  /// `fallback` until the fit warms up.
-  Duration predict_decode(unsigned bs, unsigned mcs, Duration fallback) const;
+  /// Decode-stage estimate at `iterations` turbo iterations, or `fallback`
+  /// until the fit warms up. The admission estimate is the
+  /// iterations = predict_iterations(bs) case; L = 1 and L = Lm give the
+  /// anchors of the line capped decodes are costed on.
+  Duration predict_decode_at(unsigned mcs, unsigned iterations,
+                             Duration fallback) const;
   /// Learned per-code-block decode time (adaptive migration chunk size).
   Duration decode_subtask_or(Duration fallback) const {
     return decode_subtask_.value_or(fallback);

@@ -4,6 +4,7 @@
 #include <array>
 #include <condition_variable>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <span>
 #include <stdexcept>
@@ -113,11 +114,6 @@ struct NodeRuntime::Impl {
   };
   std::unique_ptr<AdaptiveState> adaptive;
 
-  Duration adaptive_fft_subtask(Duration fallback) {
-    if (!adaptive) return fallback;
-    std::lock_guard lock(adaptive->mu);
-    return adaptive->est.fft_subtask_or(fallback);
-  }
   Duration adaptive_decode_subtask(Duration fallback) {
     if (!adaptive) return fallback;
     std::lock_guard lock(adaptive->mu);
@@ -700,83 +696,75 @@ struct NodeRuntime::Impl {
     rx->begin(job, j.variant->antenna_samples, j.variant->mcs,
               j.variant->tx_subframe_index);
 
-    // Slack check (paper §4.1): drop the subframe when the estimated
-    // execution time exceeds the time left before its deadline. With
-    // degradation enabled, first retry the estimate with the
-    // turbo-iteration cap shrunk below Lm — trading decode quality for
-    // deadline compliance — and only drop when even the minimal-quality
-    // estimate cannot fit. With adaptive estimation on, the learned
-    // MCS-aware Eq. (1) fit and per-BS iteration predictors replace the
-    // single global EWMA products (falling back to them until warmed up).
-    if (config.enforce_deadlines) {
-      Duration fft_sub = fft_subtask_est_ns.load();
-      Duration decode_full =
-          decode_subtask_est_ns.load() * static_cast<Duration>(dec_n_est);
-      if (adaptive) {
-        std::lock_guard lock(adaptive->mu);
-        fft_sub = adaptive->est.fft_subtask_or(fft_sub);
-        decode_full =
-            adaptive->est.predict_decode(j.bs, j.variant->mcs, decode_full);
-      }
-      const Duration base =
-          fft_sub * static_cast<Duration>(fft_n) + demod_est_ns.load();
-      if (clock.now() + base + decode_full > j.deadline) {
-        bool admitted = false;
-        const unsigned lm = config.phy.max_iterations;
-        if (config.resilience.enable_degradation && lm > 1) {
-          const unsigned lmin =
-              std::min(config.resilience.min_turbo_iterations, lm);
-          // Decode cost is ~linear in the iteration count (Eq. (1)); the
-          // EWMA estimate tracks full-quality (Lm) decodes, so a cap of L
-          // scales it by L / Lm.
-          for (unsigned cap = lm - 1; cap >= lmin; --cap) {
-            const Duration est =
-                base + decode_full * static_cast<Duration>(cap) /
-                           static_cast<Duration>(lm);
-            if (clock.now() + est <= j.deadline) {
-              job.iteration_cap = cap;
-              rec.degrade = cap <= lmin ? DegradeLevel::kMinimalIterations
-                                        : DegradeLevel::kReducedIterations;
-              RTOPEX_TRACE_NOW(trc(), .bs = j.bs, .index = j.index, .a = cap,
-                               .core = self_id,
-                               .kind = obs::EventKind::kDegrade,
-                               .stage = obs::Stage::kDecode);
-              admitted = true;
-              break;
-            }
-            if (cap == lmin) break;
-          }
-        }
-        if (!admitted) {
-          rec.completion = clock.now();
-          rec.deadline_missed = true;
-          rec.dropped = true;
-          RTOPEX_TRACE_NOW(trc(), .bs = j.bs, .index = j.index,
-                           .core = self_id, .kind = obs::EventKind::kDrop);
-          RTOPEX_TRACE_EVENT(trc(), .ts = rec.completion, .bs = j.bs,
-                             .index = j.index, .a = 1, .core = self_id,
-                             .kind = obs::EventKind::kSubframeEnd);
-          emit_job_spec(self_id, j, j.variant->mcs, rec, fft_n, dec_n_est);
-          if (pr) pr->end(self_id, sf_span);
-          return false;
-        }
-      }
+    // Slack check (paper §4.1) through the decode admission rule the sim
+    // schedulers share (sched::admit_decode): the FFT + demod estimates set
+    // the decode start, and the decode must fit at full quality, or at a
+    // shrunk turbo-iteration cap, or the subframe drops. The full-quality
+    // estimate is the per-code-block EWMA, which tracks Lm decodes, so capped
+    // decodes are costed on the line through (full / Lm, full). With
+    // adaptive estimation on, the learned MCS-aware Eq. (1) fit replaces
+    // both: at the per-BS predicted iteration count for the full estimate,
+    // at L = 1 and L = Lm for the line (the EWMA figures stay in force until
+    // the fit warms up). Without deadline enforcement the check always
+    // admits at full quality.
+    const unsigned lm = config.phy.max_iterations;
+    const unsigned mcs = j.variant->mcs;
+    Duration fft_sub = fft_subtask_est_ns.load();
+    const Duration full_ewma =
+        decode_subtask_est_ns.load() * static_cast<Duration>(dec_n_est);
+    Duration full = full_ewma;
+    sched::DecodeLine line{full_ewma / static_cast<Duration>(lm), full_ewma};
+    unsigned assumed = lm;
+    if (adaptive) {
+      std::lock_guard lock(adaptive->mu);
+      const model::OnlineEstimators& est = adaptive->est;
+      fft_sub = est.fft_subtask_or(fft_sub);
+      assumed = est.predict_iterations(j.bs);
+      full = est.predict_decode_at(mcs, assumed, full_ewma);
+      line = {est.predict_decode_at(mcs, 1, line.at_one),
+              est.predict_decode_at(mcs, lm, full_ewma)};
+    }
+    const TimePoint decode_start = clock.now() +
+                                   fft_sub * static_cast<Duration>(fft_n) +
+                                   demod_est_ns.load();
+    const sched::Admission adm = sched::admit_decode(
+        decode_start,
+        config.enforce_deadlines ? j.deadline
+                                 : std::numeric_limits<TimePoint>::max(),
+        full, line, assumed, lm, config.resilience.degrade);
+    if (adm.cap == 0) {
+      rec.completion = clock.now();
+      rec.deadline_missed = true;
+      rec.dropped = true;
+      RTOPEX_TRACE_NOW(trc(), .bs = j.bs, .index = j.index, .core = self_id,
+                       .kind = obs::EventKind::kDrop);
+      RTOPEX_TRACE_EVENT(trc(), .ts = rec.completion, .bs = j.bs,
+                         .index = j.index, .a = 1, .core = self_id,
+                         .kind = obs::EventKind::kSubframeEnd);
+      emit_job_spec(self_id, j, mcs, rec, fft_n, dec_n_est);
+      if (pr) pr->end(self_id, sf_span);
+      return false;
+    }
+    if (adm.level != DegradeLevel::kNone) {
+      job.iteration_cap = adm.cap;
+      rec.degrade = adm.level;
+      RTOPEX_TRACE_NOW(trc(), .bs = j.bs, .index = j.index, .a = adm.cap,
+                       .core = self_id, .kind = obs::EventKind::kDegrade,
+                       .stage = obs::Stage::kDecode);
     }
 
     // --- FFT ---
-    const Duration fft_sub_est =
-        adaptive_fft_subtask(fft_subtask_est_ns.load());
     TimePoint t0 = clock.now();
     RTOPEX_TRACE_EVENT(trc(), .ts = t0, .bs = j.bs, .index = j.index,
                        .a = obs::clamp_payload_ns(
-                           fft_sub_est * static_cast<Duration>(fft_n)),
+                           fft_sub * static_cast<Duration>(fft_n)),
                        .core = self_id, .kind = obs::EventKind::kStageBegin,
                        .stage = obs::Stage::kFft);
     obs::profile::Profiler::SpanToken fft_span;
     if (pr)
       fft_span = pr->begin(self_id, "fft", obs::Stage::kFft, j.bs, j.index);
     if (migrate) {
-      run_stage_migrating(self_id, job, j, fft_n, fft_sub_est,
+      run_stage_migrating(self_id, job, j, fft_n, fft_sub,
                           /*is_fft=*/true, rec.timing);
     } else {
       for (std::size_t i = 0; i < fft_n; ++i) rx->run_fft_subtask(job, i, ws);
@@ -817,33 +805,15 @@ struct NodeRuntime::Impl {
     rx->decode_prepare(job, ws);
     const std::size_t dec_n = rx->decode_subtask_count(job);
     p.dec_n = dec_n;
-    // Estimate the admission logic would have used: the EWMA per-subtask
-    // decode time tracks full-quality (Lm) decodes, scaled to the cap when
-    // the subframe was admitted degraded. With adaptive estimation on, the
-    // Eq. (1) fit's prediction (at the per-BS predicted iteration count)
-    // takes over, and the migration chunks are sized with the learned
-    // per-subtask time instead of the global EWMA.
-    const unsigned lm = config.phy.max_iterations;
-    const Duration dec_sub_est =
-        adaptive_decode_subtask(decode_subtask_est_ns.load());
-    Duration decode_est = dec_sub_est * static_cast<Duration>(dec_n);
-    unsigned assumed_iters = job.iteration_cap > 0 ? job.iteration_cap : lm;
-    if (adaptive) {
-      std::lock_guard lock(adaptive->mu);
-      decode_est = adaptive->est.predict_decode(j.bs, j.variant->mcs,
-                                                decode_est);
-      if (job.iteration_cap == 0)
-        assumed_iters = adaptive->est.predict_iterations(j.bs);
-    }
-    if (job.iteration_cap > 0 && lm > 0)
-      decode_est = decode_est * static_cast<Duration>(job.iteration_cap) /
-                   static_cast<Duration>(lm);
+    // The decode span opens under the estimate the slack check admitted it
+    // at; migration chunks are sized with the learned per-subtask time
+    // (adaptive) or the global EWMA.
     RTOPEX_TRACE_NOW(trc(), .bs = j.bs, .index = j.index,
-                     .a = obs::clamp_payload_ns(decode_est),
-                     .b = assumed_iters,
-                     .core = self_id, .kind = obs::EventKind::kStageBegin,
+                     .a = obs::clamp_payload_ns(adm.estimate),
+                     .b = adm.iterations, .core = self_id,
+                     .kind = obs::EventKind::kStageBegin,
                      .stage = obs::Stage::kDecode);
-    p.dec_sub_est = dec_sub_est;
+    p.dec_sub_est = adaptive_decode_subtask(decode_subtask_est_ns.load());
     p.t2 = t2;
     return true;
   }
@@ -1298,11 +1268,11 @@ NodeRuntime::NodeRuntime(const RuntimeConfig& config) {
   if (res.enable_watchdog && res.watchdog_timeout <= 0)
     throw std::invalid_argument(
         "NodeRuntime: non-positive watchdog_timeout");
-  if (res.enable_degradation &&
-      (res.min_turbo_iterations == 0 ||
-       res.min_turbo_iterations >= config.phy.max_iterations))
+  if (res.degrade.enabled &&
+      (res.degrade.min_iterations == 0 ||
+       res.degrade.min_iterations >= config.phy.max_iterations))
     throw std::invalid_argument(
-        "NodeRuntime: min_turbo_iterations must be in [1, Lm)");
+        "NodeRuntime: degrade.min_iterations must be in [1, Lm)");
   if (res.completion_flag_timeout < 0)
     throw std::invalid_argument(
         "NodeRuntime: negative completion_flag_timeout");

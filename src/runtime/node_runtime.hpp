@@ -30,6 +30,7 @@
 #include "obs/profile/profile.hpp"
 #include "obs/tracer.hpp"
 #include "phy/uplink_rx.hpp"
+#include "sched/scheduler.hpp"
 #include "transport/transport.hpp"
 
 namespace rtopex::runtime {
@@ -46,11 +47,11 @@ struct ResilienceConfig {
   bool enable_watchdog = false;
   Duration watchdog_timeout = milliseconds(20);
 
-  /// Graceful degradation: when the full-quality slack check fails, retry
-  /// the estimate with the turbo-iteration cap shrunk (down to
-  /// `min_turbo_iterations`) before dropping the subframe.
-  bool enable_degradation = false;
-  unsigned min_turbo_iterations = 1;
+  /// Graceful degradation, the same sched::DegradeConfig the sim schedulers
+  /// take: when the full-quality slack check fails, sched::admit_decode
+  /// retries with the turbo-iteration cap shrunk (down to min_iterations,
+  /// which must lie in [1, Lm) when enabled) before dropping the subframe.
+  sched::DegradeConfig degrade;
 
   /// Bound on the migration-recovery completion-flag wait. Zero means wait
   /// forever (the pre-resilience behaviour). On expiry the migrator checks
@@ -125,9 +126,12 @@ struct RuntimeConfig {
   Duration initial_fft_subtask_est = microseconds(50);
   Duration initial_decode_subtask_est = microseconds(500);
   Duration initial_demod_est = microseconds(500);
-  /// Slack-check dropping (paper §4.1): before each task, compare the
-  /// EWMA-estimated execution time with the remaining slack and drop the
-  /// subframe when it cannot fit. Disabled configs only record misses.
+  /// Slack-check dropping (paper §4.1): before the FFT, the EWMA-estimated
+  /// stage times go through sched::admit_decode, the admission rule the sim
+  /// schedulers share, which drops the subframe (or, with
+  /// resilience.degrade, caps its turbo iterations) when it cannot fit.
+  /// Disabled configs admit everything at full quality and only record
+  /// misses.
   bool enforce_deadlines = true;
   /// Online adaptive estimation (opt-in): per-basestation turbo-iteration
   /// predictors and a streaming Eq. (1) decode fit sharpen the slack check

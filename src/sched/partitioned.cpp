@@ -83,29 +83,8 @@ sim::SchedulerMetrics PartitionedScheduler::run(
                                            adaptive);
     free_at[core] = o.end;
     used[core] = true;
-    RTOPEX_TRACE_EVENT(tracer, .ts = o.end, .bs = w.bs, .index = w.index,
-                       .a = o.miss ? 1u : 0u, .b = o.executed_iterations,
-                       .core = core, .kind = obs::EventKind::kSubframeEnd);
-    if (tracer) tracer->collect();
-    if (config_.record_timeline)
-      metrics.timeline.push_back({w.bs, w.index, core, start, o.end, o.miss,
-                                  o.missed_stage, -1});
-
-    ++metrics.total_subframes;
-    ++metrics.per_bs[w.bs].subframes;
-    account_degrade(o, metrics);
-    account_stages(o, metrics);
-    account_decode_estimate(o, w, config_.admission, metrics);
-    if (o.miss) {
-      ++metrics.deadline_misses;
-      ++metrics.per_bs[w.bs].misses;
-      if (o.dropped) ++metrics.dropped;
-      if (o.terminated) ++metrics.terminated;
-    } else {
-      metrics.record_processing(w.bs, to_us(o.end - w.arrival),
-                                config_.record_samples);
-      if (!w.decodable) ++metrics.decode_failures;
-    }
+    finish_subframe(o, w, core, start, config_.record_timeline,
+                    config_.record_samples, tracer, metrics);
   }
   return metrics;
 }

@@ -257,23 +257,13 @@ sim::SchedulerMetrics RtOpexScheduler::run(
                        .core = self,
                        .kind = obs::EventKind::kSubframeBegin);
 
-    ++metrics.total_subframes;
-    ++metrics.per_bs[w.bs].subframes;
-
-    bool miss = false;
-    bool dropped = false;
-    bool terminated = false;
-    DegradeLevel degrade_level = DegradeLevel::kNone;
-    bool degraded_failure = false;
-    obs::Stage missed_stage = obs::Stage::kNone;
-    int host_core = -1;
-    unsigned executed_iters = 0;
+    SerialOutcome o;
     TimePoint t = start;
 
     // --- FFT stage (deterministic duration; exact slack check) ---
     if (t + w.costs.fft > w.deadline) {
-      miss = dropped = true;
-      missed_stage = obs::Stage::kFft;
+      o.miss = o.dropped = true;
+      o.missed_stage = obs::Stage::kFft;
       RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
                          .core = self, .kind = obs::EventKind::kDrop,
                          .stage = obs::Stage::kFft);
@@ -289,35 +279,35 @@ sim::SchedulerMetrics RtOpexScheduler::run(
             w.costs.fft_subtasks, std::max<Duration>(w.costs.fft_subtask, 1),
             config_.migration_cost, gather_candidates(self, t),
             config_.constraints);
-        const StageOutcome o = run_stage(t, plan, w.costs.fft_subtasks,
-                                         w.costs.fft_subtask, w, self,
-                                         obs::Stage::kFft);
-        metrics.fft_subtasks_migrated += o.migrated;
-        metrics.recoveries += o.recovered;
-        if (host_core < 0) host_core = o.first_host;
+        const StageOutcome so = run_stage(t, plan, w.costs.fft_subtasks,
+                                          w.costs.fft_subtask, w, self,
+                                          obs::Stage::kFft);
+        metrics.fft_subtasks_migrated += so.migrated;
+        metrics.recoveries += so.recovered;
+        if (o.host_core < 0) o.host_core = so.first_host;
         // Serial residue of the FFT stage (rounding of fft / subtasks).
         const Duration residue =
             w.costs.fft -
             static_cast<Duration>(w.costs.fft_subtasks) * w.costs.fft_subtask;
-        t = o.end + residue;
-        if (o.lost_results) {
-          miss = true;
-          missed_stage = obs::Stage::kFft;
+        t = so.end + residue;
+        if (so.lost_results) {
+          o.miss = true;
+          o.missed_stage = obs::Stage::kFft;
         }
       } else {
         t += w.costs.fft;
       }
-      metrics.record_stage(obs::Stage::kFft, to_us(t - fft_start));
+      o.fft_ns = t - fft_start;
       RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
                          .core = self, .kind = obs::EventKind::kStageEnd,
                          .stage = obs::Stage::kFft);
     }
 
     // --- Demod stage (serial, deterministic) ---
-    if (!miss) {
+    if (!o.miss) {
       if (t + w.costs.demod > w.deadline) {
-        miss = dropped = true;
-        missed_stage = obs::Stage::kDemod;
+        o.miss = o.dropped = true;
+        o.missed_stage = obs::Stage::kDemod;
         RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
                            .core = self, .kind = obs::EventKind::kDrop,
                            .stage = obs::Stage::kDemod);
@@ -327,7 +317,7 @@ sim::SchedulerMetrics RtOpexScheduler::run(
                            .core = self, .kind = obs::EventKind::kStageBegin,
                            .stage = obs::Stage::kDemod);
         t += w.costs.demod;
-        metrics.record_stage(obs::Stage::kDemod, to_us(w.costs.demod));
+        o.demod_ns = w.costs.demod;
         RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
                            .core = self, .kind = obs::EventKind::kStageEnd,
                            .stage = obs::Stage::kDemod);
@@ -339,7 +329,7 @@ sim::SchedulerMetrics RtOpexScheduler::run(
     // predicted start of the parallelizable part), then run the slack check
     // against the post-migration worst case: migration is what lets RT-OPEX
     // admit high-MCS subframes that partitioned scheduling must drop.
-    if (!miss) {
+    if (!o.miss) {
       // Per-subtask time the migration planner and the admission check
       // assume: the WCET constant, or — adaptive — the learned EWMA over
       // executed per-code-block times (Algorithm 1 with adaptive chunks).
@@ -357,150 +347,76 @@ sim::SchedulerMetrics RtOpexScheduler::run(
             config_.constraints);
         planned_local = plan.local_subtasks;
       }
-      const Duration admission_estimate =
-          config_.admission == AdmissionPolicy::kWcet
-              ? w.wcet.decode_serial() +
-                    static_cast<Duration>(planned_local) * planning_subtask
-              : w.decode_optimistic;
-      // Static reference for estimate-accuracy accounting: the same plan
-      // costed with the frozen WCET constant.
-      const Duration static_estimate =
-          config_.admission == AdmissionPolicy::kWcet
-              ? w.wcet.decode_serial() +
-                    static_cast<Duration>(planned_local) *
-                        w.wcet.decode_subtask
-              : w.decode_optimistic;
+      // The full estimate is the post-migration local worst case costed
+      // with the planning subtask time; the static reference costs the
+      // same plan with the frozen WCET constant.
+      const auto local_worst_case = [&](Duration subtask) {
+        return config_.admission == AdmissionPolicy::kWcet
+                   ? w.wcet.decode_serial() +
+                         static_cast<Duration>(planned_local) * subtask
+                   : w.decode_optimistic;
+      };
+      o.decode_static_est_ns = local_worst_case(w.wcet.decode_subtask);
       const TimePoint decode_start = t;
-      if (t + admission_estimate > w.deadline) {
-        // Even the post-migration worst case cannot fit: before dropping,
-        // try a serial decode with the iteration cap shrunk (migration
-        // plans assume full-quality subtask times, so the degraded
-        // fallback runs unmigrated).
-        const DegradePlan dplan = plan_degrade(w, t, config_.degrade);
-        if (dplan.cap == 0) {
-          miss = dropped = true;
-          missed_stage = obs::Stage::kDecode;
-          RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                             .core = self, .kind = obs::EventKind::kDrop,
-                             .stage = obs::Stage::kDecode);
+      const Admission adm = admit_decode(
+          t, w.deadline, local_worst_case(planning_subtask),
+          sim_decode_line(w, config_.degrade, adaptive),
+          assumed_iterations(w, config_.admission, adaptive), w.lm,
+          config_.degrade);
+      if (apply_admission(o, adm, w, t, tracer, self)) {
+        // The serial decode work this subframe executes. Migration plans
+        // assume full-quality subtask times, so a capped decode runs
+        // serially on its own core.
+        const bool capped = adm.level != DegradeLevel::kNone;
+        const Duration work =
+            capped ? degraded_decode_time(w, adm.cap) : w.costs.decode;
+        if (!capped) metrics.decode_subtasks_total += w.costs.decode_subtasks;
+        if (capped || !config_.migrate_decode) {
+          t += work;
         } else {
-          degrade_level = dplan.level;
-          degraded_failure = w.decodable && w.iterations > dplan.cap;
-          executed_iters = std::min(w.iterations, dplan.cap);
-          RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                             .a = dplan.cap, .core = self,
-                             .kind = obs::EventKind::kDegrade,
-                             .stage = obs::Stage::kDecode);
-          RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                             .a = obs::clamp_payload_ns(dplan.estimate),
-                             .b = dplan.cap, .core = self,
-                             .kind = obs::EventKind::kStageBegin,
-                             .stage = obs::Stage::kDecode);
-          t += degraded_decode_time(w, dplan.cap);
-          if (t > w.deadline) {
-            miss = terminated = true;
-            missed_stage = obs::Stage::kDecode;
-            t = w.deadline;
-          }
-          metrics.record_stage(obs::Stage::kDecode, to_us(t - decode_start));
-          RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                             .core = self, .kind = obs::EventKind::kStageEnd,
-                             .stage = obs::Stage::kDecode);
-          if (terminated)
-            RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                               .core = self,
-                               .kind = obs::EventKind::kTerminate,
-                               .stage = obs::Stage::kDecode);
-        }
-      } else {
-        metrics.decode_subtasks_total += w.costs.decode_subtasks;
-        executed_iters = w.iterations;
-        RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                           .a = obs::clamp_payload_ns(admission_estimate),
-                           .b = adaptive
-                                    ? adaptive->predict_iterations(w.bs)
-                                    : (config_.admission ==
-                                               AdmissionPolicy::kWcet
-                                           ? w.lm
-                                           : 1u),
-                           .core = self, .kind = obs::EventKind::kStageBegin,
-                           .stage = obs::Stage::kDecode);
-        if (config_.migrate_decode) {
           t += w.costs.decode_serial();
-          const StageOutcome o =
+          const StageOutcome so =
               run_stage(t, plan, w.costs.decode_subtasks,
                         w.costs.decode_subtask, w, self, obs::Stage::kDecode);
-          metrics.decode_subtasks_migrated += o.migrated;
-          metrics.recoveries += o.recovered;
-          if (host_core < 0) host_core = o.first_host;
-          t = o.end;
-          if (o.lost_results) {
-            miss = true;
-            missed_stage = obs::Stage::kDecode;
+          metrics.decode_subtasks_migrated += so.migrated;
+          metrics.recoveries += so.recovered;
+          if (o.host_core < 0) o.host_core = so.first_host;
+          t = so.end;
+          if (so.lost_results) {
+            o.miss = true;
+            o.missed_stage = obs::Stage::kDecode;
           }
-        } else {
-          t += w.costs.decode;
         }
-        if (!miss && t > w.deadline) {
-          miss = terminated = true;
-          missed_stage = obs::Stage::kDecode;
+        if (!o.miss && t > w.deadline) {
+          o.miss = o.terminated = true;
+          o.missed_stage = obs::Stage::kDecode;
           t = w.deadline;
         }
-        metrics.record_stage(obs::Stage::kDecode, to_us(t - decode_start));
+        o.decode_ns = t - decode_start;
         RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
                            .core = self, .kind = obs::EventKind::kStageEnd,
                            .stage = obs::Stage::kDecode);
-        if (terminated)
+        if (o.terminated)
           RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
                              .core = self,
                              .kind = obs::EventKind::kTerminate,
                              .stage = obs::Stage::kDecode);
-        if (!terminated)
-          metrics.record_decode_estimate(to_us(admission_estimate),
-                                         to_us(static_estimate),
-                                         to_us(t - decode_start));
-      }
-      if (adaptive && !miss) {
-        // Feed the executed stage back: the full serial decode work
-        // content (what a single core would have run) as the Eq. (1)
-        // sample, plus the per-code-block time for chunk sizing.
-        adaptive->observe_fft(w.costs.fft_subtask);
-        adaptive->observe_decode(w.bs, w.mcs, executed_iters,
-                                 degrade_level == DegradeLevel::kNone
-                                     ? w.costs.decode
-                                     : degraded_decode_time(
-                                           w, std::max(1u, executed_iters)),
-                                 w.costs.decode_subtask);
+        if (adaptive && !o.miss) {
+          // Feed the executed stage back: the full serial decode work
+          // content (what a single core would have run) as the Eq. (1)
+          // sample, plus the per-code-block time for chunk sizing.
+          adaptive->observe_fft(w.costs.fft_subtask);
+          adaptive->observe_decode(w.bs, w.mcs, o.executed_iterations, work,
+                                   w.costs.decode_subtask);
+        }
       }
     }
 
+    o.end = t;
+    o.completed = !o.miss;
     core.free_at = t;
-    RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                       .a = miss ? 1u : 0u, .b = executed_iters,
-                       .core = self, .kind = obs::EventKind::kSubframeEnd);
-    if (tracer) tracer->collect();
-    if (config_.record_timeline)
-      metrics.timeline.push_back({w.bs, w.index, self, start, t, miss,
-                                  missed_stage, host_core});
-    if (!dropped) {
-      metrics.resilience
-          .degrade_histogram[static_cast<unsigned>(degrade_level)] += 1;
-      if (degrade_level != DegradeLevel::kNone) {
-        ++metrics.resilience.degraded;
-        if (!miss && degraded_failure)
-          ++metrics.resilience.degraded_decode_failures;
-      }
-    }
-    if (miss) {
-      ++metrics.deadline_misses;
-      ++metrics.per_bs[w.bs].misses;
-      if (dropped) ++metrics.dropped;
-      if (terminated) ++metrics.terminated;
-    } else {
-      metrics.record_processing(w.bs, to_us(t - w.arrival),
-                                config_.record_samples);
-      if (!w.decodable) ++metrics.decode_failures;
-    }
+    finish_subframe(o, w, self, start, config_.record_timeline,
+                    config_.record_samples, tracer, metrics);
   }
   return metrics;
 }

@@ -10,6 +10,7 @@
 //    task is terminated at the deadline (deadline miss), freeing the core.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <span>
 #include <vector>
@@ -53,17 +54,64 @@ class NodeScheduler {
   virtual const char* name() const = 0;
 };
 
-/// The decode-time prediction the slack check uses under a policy.
-Duration decode_admission_estimate(const sim::SubframeWork& w,
-                                   AdmissionPolicy policy);
-
-/// Graceful-degradation knobs, shared by every policy: when the decode
-/// slack check fails at full quality, retry with the turbo-iteration cap
-/// shrunk (down to min_iterations) before dropping the subframe.
+/// Graceful-degradation knobs, shared by every policy and by the real-thread
+/// runtime: when the decode slack check fails at full quality, retry with
+/// the turbo-iteration cap shrunk (down to min_iterations) before dropping
+/// the subframe.
 struct DegradeConfig {
   bool enabled = false;
   unsigned min_iterations = 1;
 };
+
+/// Eq. (1)'s decode cost as a line in the iteration count L, through its
+/// L = 1 and L = Lm anchors. at() is the slope-first integer interpolation
+/// the static task model has always used, so static decisions stay
+/// bit-identical.
+struct DecodeLine {
+  Duration at_one = 0;  ///< decode estimate at L = 1.
+  Duration at_lm = 0;   ///< decode estimate at L = Lm.
+  Duration at(unsigned l, unsigned lm) const {
+    if (lm <= 1) return at_lm;
+    const Duration slope = (at_lm - at_one) / static_cast<Duration>(lm - 1);
+    return at_one + static_cast<Duration>(l - 1) * slope;
+  }
+};
+
+/// The decode admission decision: cap 0 drops the subframe, cap Lm runs it
+/// at full quality, anything between is a degraded decode.
+struct Admission {
+  unsigned cap = 0;
+  DegradeLevel level = DegradeLevel::kNone;
+  Duration estimate = 0;    ///< decode estimate admitted at (0 on a drop).
+  unsigned iterations = 0;  ///< turbo iterations the estimate assumes.
+};
+
+/// The one decode admission rule (paper §4.1 plus graceful degradation),
+/// shared by every sim scheduler and the real-thread runtime. Admits at full
+/// quality when `decode_start + full_estimate` meets the deadline (inclusive).
+/// Otherwise, with degradation enabled, it tries caps from Lm - 1 down to
+/// the floor clamp(min_iterations, 1, Lm - 1), costing cap c at
+/// line.at(min(c, assumed_iters)). A cap at or above `assumed_iters` caps
+/// nothing the estimate assumed — it is the decode that just failed — so it
+/// is never admitted. The first cap that fits wins; none fitting drops.
+inline Admission admit_decode(TimePoint decode_start, TimePoint deadline,
+                              Duration full_estimate, const DecodeLine& line,
+                              unsigned assumed_iters, unsigned lm,
+                              const DegradeConfig& degrade) {
+  if (decode_start + full_estimate <= deadline)
+    return {lm, DegradeLevel::kNone, full_estimate, assumed_iters};
+  if (!degrade.enabled || lm <= 1) return {};
+  const unsigned floor = std::clamp(degrade.min_iterations, 1u, lm - 1);
+  for (unsigned cap = std::min(lm, assumed_iters); cap-- > floor;) {
+    const Duration est = line.at(cap, lm);
+    if (decode_start + est <= deadline)
+      return {cap,
+              cap == floor ? DegradeLevel::kMinimalIterations
+                           : DegradeLevel::kReducedIterations,
+              est, cap};
+  }
+  return {};
+}
 
 /// Opt-in online adaptive estimation (ROADMAP item 5), shared by every
 /// policy. When enabled, run() builds a model::OnlineEstimators bundle and
@@ -98,18 +146,6 @@ std::optional<model::OnlineEstimators> make_estimators(
 std::optional<std::vector<sim::SubframeWork>> filter_faulted(
     std::span<const sim::SubframeWork> work, sim::SchedulerMetrics& metrics,
     obs::Tracer* tracer = nullptr);
-
-/// Degraded-decode planning: the largest iteration cap whose (WCET-model)
-/// estimate fits the deadline from `t`, or cap = 0 when even
-/// min_iterations cannot fit. The model interpolates linearly between the
-/// L = 1 and L = Lm decode estimates (Eq. (1): decode cost ~ linear in L).
-struct DegradePlan {
-  unsigned cap = 0;  ///< 0: drop — even minimal quality cannot fit.
-  DegradeLevel level = DegradeLevel::kNone;
-  Duration estimate = 0;  ///< admission estimate at `cap`.
-};
-DegradePlan plan_degrade(const sim::SubframeWork& w, TimePoint t,
-                         const DegradeConfig& cfg);
 
 /// Actual (jittered) decode duration when capped at `cap` iterations: the
 /// sampled decode cost scaled down to the executed iteration count

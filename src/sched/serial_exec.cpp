@@ -6,12 +6,6 @@
 
 namespace rtopex::sched {
 
-Duration decode_admission_estimate(const sim::SubframeWork& w,
-                                   AdmissionPolicy policy) {
-  return policy == AdmissionPolicy::kWcet ? w.wcet.decode
-                                          : w.decode_optimistic;
-}
-
 std::optional<model::OnlineEstimators> make_estimators(
     const AdaptiveConfig& cfg, unsigned num_basestations) {
   if (!cfg.enabled) return std::nullopt;
@@ -22,16 +16,27 @@ std::optional<model::OnlineEstimators> make_estimators(
 
 namespace {
 
-/// Model-predicted (jitter-free) full decode duration at `l` iterations:
-/// linear interpolation between the L = 1 and L = Lm bounds.
-Duration model_decode(const sim::SubframeWork& w, unsigned l) {
-  if (w.lm <= 1) return w.wcet.decode;
-  const Duration slope =
-      (w.wcet.decode - w.decode_optimistic) / static_cast<Duration>(w.lm - 1);
-  return w.decode_optimistic + static_cast<Duration>(l - 1) * slope;
+/// The static task model's (jitter-free) decode line.
+DecodeLine static_line(const sim::SubframeWork& w) {
+  return {w.decode_optimistic, w.wcet.decode};
 }
 
 }  // namespace
+
+DecodeLine sim_decode_line(const sim::SubframeWork& w,
+                           const DegradeConfig& degrade,
+                           const model::OnlineEstimators* adaptive) {
+  if (!adaptive || !degrade.enabled) return static_line(w);
+  return {adaptive->predict_decode_at(w.mcs, 1, w.decode_optimistic),
+          adaptive->predict_decode_at(w.mcs, w.lm, w.wcet.decode)};
+}
+
+unsigned assumed_iterations(const sim::SubframeWork& w,
+                            AdmissionPolicy policy,
+                            const model::OnlineEstimators* adaptive) {
+  if (adaptive) return adaptive->predict_iterations(w.bs);
+  return policy == AdmissionPolicy::kWcet ? w.lm : 1;
+}
 
 std::optional<std::vector<sim::SubframeWork>> filter_faulted(
     std::span<const sim::SubframeWork> work, sim::SchedulerMetrics& metrics,
@@ -70,36 +75,47 @@ std::optional<std::vector<sim::SubframeWork>> filter_faulted(
   return rest;
 }
 
-DegradePlan plan_degrade(const sim::SubframeWork& w, TimePoint t,
-                         const DegradeConfig& cfg) {
-  DegradePlan plan;
-  if (!cfg.enabled || w.lm <= 1) return plan;
-  const unsigned lmin = std::max(1u, std::min(cfg.min_iterations, w.lm - 1));
-  for (unsigned cap = w.lm - 1; cap >= lmin; --cap) {
-    const Duration est = model_decode(w, cap);
-    if (t + est <= w.deadline) {
-      plan.cap = cap;
-      plan.level = cap <= lmin ? DegradeLevel::kMinimalIterations
-                               : DegradeLevel::kReducedIterations;
-      plan.estimate = est;
-      return plan;
-    }
-    if (cap == lmin) break;
-  }
-  return plan;
-}
-
 Duration degraded_decode_time(const sim::SubframeWork& w, unsigned cap) {
   const unsigned executed = std::min(w.iterations, cap);
   // Scale the sampled (jittered) cost to the executed iteration count
   // along the model slope: jitter multiplies the whole decode, so the
   // ratio of model predictions carries it.
-  const Duration predicted = model_decode(w, w.iterations);
+  const DecodeLine line = static_line(w);
+  const Duration predicted = line.at(w.iterations, w.lm);
   if (predicted <= 0) return w.costs.decode;
   return static_cast<Duration>(
       static_cast<double>(w.costs.decode) *
-      static_cast<double>(model_decode(w, executed)) /
+      static_cast<double>(line.at(executed, w.lm)) /
       static_cast<double>(predicted));
+}
+
+bool apply_admission(SerialOutcome& o, const Admission& adm,
+                     const sim::SubframeWork& w, TimePoint t,
+                     obs::Tracer* tracer, unsigned core) {
+  if (adm.cap == 0) {
+    o.end = t;
+    o.miss = o.dropped = true;
+    o.missed_stage = obs::Stage::kDecode;
+    RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
+                       .core = core, .kind = obs::EventKind::kDrop,
+                       .stage = obs::Stage::kDecode);
+    return false;
+  }
+  o.degrade = adm.level;
+  o.degraded_failure = w.decodable && w.iterations > adm.cap;
+  o.executed_iterations = std::min(w.iterations, adm.cap);
+  o.decode_est_ns = adm.estimate;
+  if (adm.level != DegradeLevel::kNone)
+    RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
+                       .a = adm.cap, .core = core,
+                       .kind = obs::EventKind::kDegrade,
+                       .stage = obs::Stage::kDecode);
+  RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
+                     .a = obs::clamp_payload_ns(adm.estimate),
+                     .b = adm.iterations, .core = core,
+                     .kind = obs::EventKind::kStageBegin,
+                     .stage = obs::Stage::kDecode);
+  return true;
 }
 
 SerialOutcome execute_serial(const sim::SubframeWork& w, TimePoint start,
@@ -154,45 +170,22 @@ SerialOutcome execute_serial(const sim::SubframeWork& w, TimePoint start,
                      .stage = obs::Stage::kDemod);
 
   // Decode: admission per policy (WCET by default), then actual execution
-  // with termination at the deadline. A failed full-quality check first
-  // tries shrinking the iteration cap (graceful degradation) and only
-  // drops when even the minimal-quality estimate cannot fit.
-  Duration decode_time = w.costs.decode;
-  Duration decode_est = decode_admission_estimate(w, admission);
-  unsigned iter_est = admission == AdmissionPolicy::kWcet ? w.lm : 1;
-  if (adaptive) {
-    iter_est = adaptive->predict_iterations(w.bs);
-    decode_est = adaptive->predict_decode(w.bs, w.mcs, decode_est);
-  }
-  out.executed_iterations = w.iterations;
-  if (t + decode_est > w.deadline) {
-    const DegradePlan plan = plan_degrade(w, t, degrade);
-    if (plan.cap == 0) {
-      out.end = t;
-      out.miss = out.dropped = true;
-      out.missed_stage = obs::Stage::kDecode;
-      out.executed_iterations = 0;
-      RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                         .core = core, .kind = obs::EventKind::kDrop,
-                         .stage = obs::Stage::kDecode);
-      return out;
-    }
-    out.degrade = plan.level;
-    out.degraded_failure = w.decodable && w.iterations > plan.cap;
-    decode_time = degraded_decode_time(w, plan.cap);
-    decode_est = plan.estimate;
-    iter_est = plan.cap;
-    out.executed_iterations = std::min(w.iterations, plan.cap);
-    RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                       .a = plan.cap, .core = core,
-                       .kind = obs::EventKind::kDegrade,
-                       .stage = obs::Stage::kDecode);
-  }
-  out.decode_est_ns = decode_est;
-  RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                     .a = obs::clamp_payload_ns(decode_est), .b = iter_est,
-                     .core = core, .kind = obs::EventKind::kStageBegin,
-                     .stage = obs::Stage::kDecode);
+  // with termination at the deadline.
+  out.decode_static_est_ns = admission == AdmissionPolicy::kWcet
+                                 ? w.wcet.decode
+                                 : w.decode_optimistic;
+  const unsigned assumed = assumed_iterations(w, admission, adaptive);
+  const Duration full =
+      adaptive ? adaptive->predict_decode_at(w.mcs, assumed,
+                                             out.decode_static_est_ns)
+               : out.decode_static_est_ns;
+  const Admission adm = admit_decode(t, w.deadline, full,
+                                     sim_decode_line(w, degrade, adaptive),
+                                     assumed, w.lm, degrade);
+  if (!apply_admission(out, adm, w, t, tracer, core)) return out;
+  const Duration decode_time = adm.level == DegradeLevel::kNone
+                                   ? w.costs.decode
+                                   : degraded_decode_time(w, adm.cap);
   if (t + decode_time > w.deadline) {
     out.decode_ns = w.deadline - t;
     out.end = w.deadline;
@@ -220,6 +213,54 @@ SerialOutcome execute_serial(const sim::SubframeWork& w, TimePoint start,
     adaptive->observe_decode(w.bs, w.mcs, out.executed_iterations,
                              out.decode_ns, w.costs.decode_subtask);
   return out;
+}
+
+void finish_subframe(const SerialOutcome& o, const sim::SubframeWork& w,
+                     unsigned core, TimePoint start, bool record_timeline,
+                     bool record_samples, obs::Tracer* tracer,
+                     sim::SchedulerMetrics& metrics) {
+  RTOPEX_TRACE_EVENT(tracer, .ts = o.end, .bs = w.bs, .index = w.index,
+                     .a = o.miss ? 1u : 0u, .b = o.executed_iterations,
+                     .core = core, .kind = obs::EventKind::kSubframeEnd);
+  if (tracer) tracer->collect();
+  if (record_timeline)
+    metrics.timeline.push_back({w.bs, w.index, core, start, o.end, o.miss,
+                                o.missed_stage, o.host_core});
+
+  ++metrics.total_subframes;
+  ++metrics.per_bs[w.bs].subframes;
+  // Quality level over executed subframes; capped-decode NACKs are counted
+  // apart from ordinary decode failures.
+  if (!o.dropped) {
+    metrics.resilience.degrade_histogram[static_cast<unsigned>(o.degrade)] +=
+        1;
+    if (o.degrade != DegradeLevel::kNone) {
+      ++metrics.resilience.degraded;
+      if (o.completed && o.degraded_failure)
+        ++metrics.resilience.degraded_decode_failures;
+    }
+  }
+  if (o.fft_ns >= 0) metrics.record_stage(obs::Stage::kFft, to_us(o.fft_ns));
+  if (o.demod_ns >= 0)
+    metrics.record_stage(obs::Stage::kDemod, to_us(o.demod_ns));
+  if (o.decode_ns >= 0)
+    metrics.record_stage(obs::Stage::kDecode, to_us(o.decode_ns));
+  // Estimate accuracy: the estimate actually used vs the frozen static seed,
+  // each against the executed decode. Only decodes that ran to natural
+  // completion count (a terminated decode's duration is deadline-truncated).
+  if (o.decode_ns >= 0 && !o.terminated && o.decode_est_ns >= 0)
+    metrics.record_decode_estimate(to_us(o.decode_est_ns),
+                                   to_us(o.decode_static_est_ns),
+                                   to_us(o.decode_ns));
+  if (o.miss) {
+    ++metrics.deadline_misses;
+    ++metrics.per_bs[w.bs].misses;
+    if (o.dropped) ++metrics.dropped;
+    if (o.terminated) ++metrics.terminated;
+  } else {
+    metrics.record_processing(w.bs, to_us(o.end - w.arrival), record_samples);
+    if (!w.decodable) ++metrics.decode_failures;
+  }
 }
 
 }  // namespace rtopex::sched

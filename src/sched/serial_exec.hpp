@@ -1,5 +1,6 @@
 // Shared serial (non-migrating) execution of one subframe's stage chain,
-// used by the partitioned and global policies.
+// used by the partitioned and global policies, plus the decode-admission
+// inputs and per-subframe epilogue all three sim policies share.
 #pragma once
 
 #include "obs/tracer.hpp"
@@ -32,18 +33,24 @@ struct SerialOutcome {
   /// cap shrank; -1 when the decode was never admitted). Compared against
   /// decode_ns for estimate-accuracy accounting.
   Duration decode_est_ns = -1;
+  /// The frozen static seed's full-quality estimate for the same decode:
+  /// the reference decode_est_ns is scored against.
+  Duration decode_static_est_ns = -1;
+  /// First remote core that hosted a migrated chunk (RT-OPEX only; -1 when
+  /// nothing migrated).
+  int host_core = -1;
 };
 
 /// Runs FFT -> demod -> decode serially from `start`. `entry_penalty` models
 /// extra per-dispatch cost (e.g. the global scheduler's cache-refill after a
-/// basestation switch); it is charged before the FFT stage. With
-/// `degrade.enabled`, a failed decode slack check shrinks the iteration cap
-/// before dropping. A non-null `tracer` receives stage spans, degrade
-/// markers and drop/terminate instants on track `core`, stamped with
-/// virtual time. A non-null `adaptive` bundle replaces the static decode
-/// admission estimate with the learned Eq. (1) fit at the predicted
-/// iteration count and is fed the executed stage observations afterwards;
-/// null keeps the static path bit-identical.
+/// basestation switch); it is charged before the FFT stage. The decode is
+/// admitted by admit_decode (with `degrade.enabled`, a failed full-quality
+/// check shrinks the iteration cap before dropping). A non-null `tracer`
+/// receives stage spans, degrade markers and drop/terminate instants on
+/// track `core`, stamped with virtual time. A non-null `adaptive` bundle
+/// replaces the static decode estimate and line with the learned Eq. (1)
+/// fit and is fed the executed stage observations afterwards; null keeps
+/// the static path bit-identical.
 SerialOutcome execute_serial(const sim::SubframeWork& w, TimePoint start,
                              Duration entry_penalty = 0,
                              AdmissionPolicy admission = AdmissionPolicy::kWcet,
@@ -52,41 +59,35 @@ SerialOutcome execute_serial(const sim::SubframeWork& w, TimePoint start,
                              unsigned core = 0,
                              model::OnlineEstimators* adaptive = nullptr);
 
-/// Folds one outcome's degradation fields into the metrics (histogram over
-/// executed subframes; capped-decode NACKs counted apart from ordinary
-/// decode failures).
-inline void account_degrade(const SerialOutcome& o,
-                            sim::SchedulerMetrics& metrics) {
-  if (o.dropped) return;
-  metrics.resilience.degrade_histogram[static_cast<unsigned>(o.degrade)] += 1;
-  if (o.degrade == DegradeLevel::kNone) return;
-  ++metrics.resilience.degraded;
-  if (o.completed && o.degraded_failure)
-    ++metrics.resilience.degraded_decode_failures;
-}
+/// The sim's admit_decode inputs besides the full estimate: the decode line
+/// (the static model's (decode_optimistic, wcet.decode) anchors, or the
+/// adaptive fit at L = 1 and L = Lm with those anchors as its warm-up
+/// fallback) and the iterations the full estimate assumes (Lm under kWcet,
+/// 1 under kOptimistic, the per-BS prediction under adaptive). admit_decode
+/// reads the line only under degradation, so without it the fit is not
+/// evaluated.
+DecodeLine sim_decode_line(const sim::SubframeWork& w,
+                           const DegradeConfig& degrade,
+                           const model::OnlineEstimators* adaptive);
+unsigned assumed_iterations(const sim::SubframeWork& w,
+                            AdmissionPolicy policy,
+                            const model::OnlineEstimators* adaptive);
 
-/// Folds one outcome's per-stage durations into the stage histograms.
-inline void account_stages(const SerialOutcome& o,
-                           sim::SchedulerMetrics& metrics) {
-  if (o.fft_ns >= 0) metrics.record_stage(obs::Stage::kFft, to_us(o.fft_ns));
-  if (o.demod_ns >= 0)
-    metrics.record_stage(obs::Stage::kDemod, to_us(o.demod_ns));
-  if (o.decode_ns >= 0)
-    metrics.record_stage(obs::Stage::kDecode, to_us(o.decode_ns));
-}
+/// Applies a decode admission to `o` at decode start `t`: a drop marks the
+/// outcome and emits kDrop; otherwise it records the quality level, the
+/// admitted estimate and the iterations the decode will execute, and emits
+/// kDegrade (capped decodes only) and the decode kStageBegin. Returns whether
+/// the decode runs.
+bool apply_admission(SerialOutcome& o, const Admission& adm,
+                     const sim::SubframeWork& w, TimePoint t,
+                     obs::Tracer* tracer, unsigned core);
 
-/// Folds one outcome's decode-estimate accuracy into the metrics: the
-/// estimate actually used vs the frozen static seed, each against the
-/// executed decode time. Only decodes that ran to natural completion
-/// count (a terminated decode's duration is deadline-truncated).
-inline void account_decode_estimate(const SerialOutcome& o,
-                                    const sim::SubframeWork& w,
-                                    AdmissionPolicy admission,
-                                    sim::SchedulerMetrics& metrics) {
-  if (o.decode_ns < 0 || o.terminated || o.decode_est_ns < 0) return;
-  metrics.record_decode_estimate(to_us(o.decode_est_ns),
-                                 to_us(decode_admission_estimate(w, admission)),
-                                 to_us(o.decode_ns));
-}
+/// The per-subframe epilogue every sim scheduler runs once `w` finished on
+/// `core` (started at `start`): the kSubframeEnd event and a tracer collect,
+/// the timeline entry, and the outcome folded into the metrics.
+void finish_subframe(const SerialOutcome& o, const sim::SubframeWork& w,
+                     unsigned core, TimePoint start, bool record_timeline,
+                     bool record_samples, obs::Tracer* tracer,
+                     sim::SchedulerMetrics& metrics);
 
 }  // namespace rtopex::sched

@@ -169,7 +169,8 @@ TEST(OnlineEstimators, EndToEndWarmupAndBounds) {
 
   // Cold: every prediction defers to the caller's fallback / seed.
   const Duration fallback = 900000;
-  EXPECT_EQ(est.predict_decode(0, 15, fallback), fallback);
+  EXPECT_EQ(est.predict_decode_at(15, est.predict_iterations(0), fallback),
+            fallback);
   EXPECT_EQ(est.decode_subtask_or(4321), 4321);
   EXPECT_EQ(est.fft_subtask_or(1234), 1234);
   EXPECT_GE(est.predict_iterations(0), 1u);
@@ -184,7 +185,8 @@ TEST(OnlineEstimators, EndToEndWarmupAndBounds) {
   EXPECT_TRUE(est.decode_fit().warmed_up());
   EXPECT_EQ(est.decode_samples(), 64u);
 
-  const Duration dec = est.predict_decode(0, 15, fallback);
+  const Duration dec =
+      est.predict_decode_at(15, est.predict_iterations(0), fallback);
   EXPECT_NE(dec, fallback);
   EXPECT_GT(dec, 0);
   EXPECT_NEAR(static_cast<double>(est.decode_subtask_or(1)), 20000.0, 1.0);

@@ -245,8 +245,8 @@ TEST(ResilienceRuntimeTest, DegradationAdmitsWhatDroppingRejects) {
     EXPECT_EQ(report.resilience.degraded, 0u);
   }
 
-  cfg.resilience.enable_degradation = true;
-  cfg.resilience.min_turbo_iterations = 1;
+  cfg.resilience.degrade.enabled = true;
+  cfg.resilience.degrade.min_iterations = 1;
   NodeRuntime runtime(cfg);
   const auto report = runtime.run();
   check_conservation(report, cfg);
@@ -295,10 +295,10 @@ TEST(ResilienceRuntimeTest, ConfigValidationThrows) {
   EXPECT_THROW(NodeRuntime{cfg}, std::invalid_argument);
 
   cfg = resilience_config(RuntimeMode::kPartitioned);
-  cfg.resilience.enable_degradation = true;
-  cfg.resilience.min_turbo_iterations = 0;
+  cfg.resilience.degrade.enabled = true;
+  cfg.resilience.degrade.min_iterations = 0;
   EXPECT_THROW(NodeRuntime{cfg}, std::invalid_argument);
-  cfg.resilience.min_turbo_iterations = cfg.phy.max_iterations;  // must be < Lm
+  cfg.resilience.degrade.min_iterations = cfg.phy.max_iterations;  // < Lm
   EXPECT_THROW(NodeRuntime{cfg}, std::invalid_argument);
 
   cfg = resilience_config(RuntimeMode::kPartitioned);

@@ -1,7 +1,10 @@
 // Direct unit tests of the shared stage-chain executor with hand-built
 // subframes: admission drops at each stage, deadline termination,
-// completion, and the two admission policies.
+// completion, the two admission policies, and the shared decode admission
+// rule (admit_decode) one table row per case.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "model/task_cost_model.hpp"
 #include "sched/serial_exec.hpp"
@@ -96,6 +99,94 @@ TEST(SerialExecTest, PlatformJitterCanTerminateAdmittedSubframe) {
   ASSERT_GT(w.arrival + w.costs.total(), w.deadline);
   const auto o = execute_serial(w, w.arrival, 0, AdmissionPolicy::kWcet);
   EXPECT_TRUE(o.terminated);
+}
+
+// One row per admission case. The line costs cap c at 100c us (Lm = 4
+// unless the row says otherwise), so every threshold is easy to read.
+struct AdmitRow {
+  const char* name;
+  Duration deadline;  ///< decode starts at 0: this is the remaining budget.
+  Duration full_estimate;
+  unsigned assumed_iters;
+  unsigned lm;
+  DegradeConfig degrade;
+  unsigned cap;  ///< expected: 0 drop, lm full quality.
+  DegradeLevel level;
+  Duration estimate;
+  unsigned iterations;
+};
+
+TEST(AdmitDecodeTest, TableOfCases) {
+  const DecodeLine line{microseconds(100), microseconds(400)};
+  const DegradeConfig on{true, 1};
+  const DegradeConfig off{false, 1};
+  const auto us = [](Duration v) { return microseconds(v); };
+  constexpr DegradeLevel kNone = DegradeLevel::kNone;
+  constexpr DegradeLevel kReduced = DegradeLevel::kReducedIterations;
+  constexpr DegradeLevel kMinimal = DegradeLevel::kMinimalIterations;
+  const std::vector<AdmitRow> rows = {
+      {"full quality fits", us(500), us(400), 4, 4, on, 4, kNone, us(400), 4},
+      {"cap Lm-1", us(350), us(400), 4, 4, on, 3, kReduced, us(300), 3},
+      {"cap 2", us(250), us(400), 4, 4, on, 2, kReduced, us(200), 2},
+      {"cap at the floor", us(150), us(400), 4, 4, on, 1, kMinimal, us(100),
+       1},
+      {"below the floor drops", us(50), us(400), 4, 4, on, 0, kNone, 0, 0},
+      {"full estimate exactly at the deadline", us(400), us(400), 4, 4, on, 4,
+       kNone, us(400), 4},
+      {"capped estimate exactly at the deadline", us(300), us(400), 4, 4, on,
+       3, kReduced, us(300), 3},
+      {"raised floor is minimal", us(250), us(400), 4, 4, {true, 2}, 2,
+       kMinimal, us(200), 2},
+      {"raised floor drops below it", us(150), us(400), 4, 4, {true, 2}, 0,
+       kNone, 0, 0},
+      {"min_iterations 0 clamps to 1", us(150), us(400), 4, 4, {true, 0}, 1,
+       kMinimal, us(100), 1},
+      {"min_iterations >= Lm clamps to Lm-1", us(350), us(400), 4, 4,
+       {true, 9}, 3, kMinimal, us(300), 3},
+      {"min_iterations >= Lm drops below Lm-1", us(250), us(400), 4, 4,
+       {true, 9}, 0, kNone, 0, 0},
+      {"Lm 1 admits at full quality", us(400), us(400), 1, 1, on, 1, kNone,
+       us(400), 1},
+      {"Lm 1 never degrades", us(350), us(400), 1, 1, on, 0, kNone, 0, 0},
+      {"degradation disabled drops", us(350), us(400), 4, 4, off, 0, kNone, 0,
+       0},
+      {"optimistic (assumed 1) drops", us(50), us(100), 1, 4, on, 0, kNone, 0,
+       0},
+      {"optimistic (assumed 1) never degrades", us(350), us(400), 1, 4, on, 0,
+       kNone, 0, 0},
+      {"predicted iterations below Lm", us(200), us(200), 2, 4, on, 4, kNone,
+       us(200), 2},
+      {"caps below the prediction still degrade", us(150), us(250), 2, 4, on,
+       1, kMinimal, us(100), 1},
+      // Regression: after the full estimate at 2 predicted iterations fails,
+      // caps 3 and 2 would run those same 2 iterations. They must not be
+      // admitted even though the line prices them below the deadline.
+      {"cap >= assumed never admitted", us(240), us(250), 2, 4, {true, 2}, 0,
+       kNone, 0, 0},
+  };
+  for (const AdmitRow& r : rows) {
+    SCOPED_TRACE(r.name);
+    const Admission a = admit_decode(0, r.deadline, r.full_estimate, line,
+                                     r.assumed_iters, r.lm, r.degrade);
+    EXPECT_EQ(a.cap, r.cap);
+    EXPECT_EQ(a.level, r.level);
+    EXPECT_EQ(a.estimate, r.estimate);
+    EXPECT_EQ(a.iterations, r.iterations);
+  }
+}
+
+TEST(AdmitDecodeTest, StaticLineIsTheTaskModelInterpolation) {
+  // The static sim line must keep the slope-first integer expression every
+  // committed figure was produced with.
+  const auto w = make_work(27, 4);
+  const DecodeLine line = sim_decode_line(w, {true, 1}, nullptr);
+  const Duration slope = (w.wcet.decode - w.decode_optimistic) /
+                         static_cast<Duration>(w.lm - 1);
+  for (unsigned l = 1; l <= w.lm; ++l)
+    EXPECT_EQ(line.at(l, w.lm),
+              w.decode_optimistic + static_cast<Duration>(l - 1) * slope);
+  EXPECT_EQ(assumed_iterations(w, AdmissionPolicy::kWcet, nullptr), w.lm);
+  EXPECT_EQ(assumed_iterations(w, AdmissionPolicy::kOptimistic, nullptr), 1u);
 }
 
 }  // namespace

@@ -5,19 +5,25 @@
 // terminated), subtask accounting balances (migrated = hosted + recovered;
 // recovered never exceeds migrated), and drops are always a subset of
 // deadline misses. Matched configurations are run through both and the
-// invariants checked on each side.
+// invariants checked on each side. Decode admission is compared at the
+// decision level: both substrates call the same sched::admit_decode, so one
+// input table must produce the same drop or degrade cap on each.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "model/timing_model.hpp"
+#include "phy/lte_params.hpp"
 #include "runtime/fault_injection.hpp"
 #include "runtime/node_runtime.hpp"
 #include "sched/partitioned.hpp"
 #include "sched/rt_opex.hpp"
+#include "sched/serial_exec.hpp"
 #include "sim/workload.hpp"
+#include "support/sanitizer_pacing.hpp"
 #include "transport/transport.hpp"
 
 namespace rtopex {
@@ -300,6 +306,118 @@ TEST(SimRuntimeDifferentialTest, NoMigrationDegradesToPartitioned) {
   EXPECT_EQ(mo.dropped, mp.dropped);
   EXPECT_EQ(mo.terminated, mp.terminated);
   EXPECT_EQ(mo.processing_us_hist.count(), mp.processing_us_hist.count());
+}
+
+// ---- Decision-level admission differential ------------------------------
+
+/// One shared admission input: the budget left when the decode would start,
+/// the full-quality decode estimate, Lm, the degradation knobs, and the cap
+/// both substrates must pick (0 drop, Lm full quality).
+struct AdmissionRow {
+  Duration remaining;
+  Duration full_estimate;
+  unsigned lm;
+  sched::DegradeConfig degrade;
+  unsigned expected_cap;
+};
+
+/// The decode decision a traced run made: 0 on a kDrop, the kDegrade cap,
+/// or Lm when the subframe was admitted at full quality.
+unsigned traced_decision(const obs::TraceStore& store, unsigned lm) {
+  for (const auto& e : store.events) {
+    if (e.kind == obs::EventKind::kDrop) return 0;
+    if (e.kind == obs::EventKind::kDegrade) return static_cast<unsigned>(e.a);
+  }
+  return lm;
+}
+
+TEST(SimRuntimeDifferentialTest, AdmissionDecisionsAgreeOnSharedTable) {
+  // The runtime checks at clock.now() >= arrival, so its remaining budget is
+  // the row's minus the worker's wake latency — tens of ms on a loaded host.
+  // The sim twin therefore starts at the instant the runtime's worker did,
+  // and every row sits 45 ms (scaled under sanitizers) above the threshold
+  // it must clear, with thresholds 50 ms apart, so the expected caps hold
+  // as well.
+  constexpr int kScale = test::pacing_scale();
+  const auto ms = [](Duration v) { return milliseconds(v) * kScale; };
+  constexpr unsigned kAntennas = 1;
+  const Duration fft_subtask = microseconds(100) * kScale;
+  const Duration demod = microseconds(600) * kScale;
+  const Duration rtt_half = ms(4);
+  const std::size_t fft_n =
+      static_cast<std::size_t>(kAntennas) * phy::kSymbolsPerSubframe;
+  // Lm = 4 over a 200 ms full estimate costs cap c at 50c ms; Lm = 8 over
+  // 400 ms likewise.
+  const sched::DegradeConfig on{true, 1};
+  const std::vector<AdmissionRow> rows = {
+      {ms(245), ms(200), 4, on, 4},          // full quality fits
+      {ms(195), ms(200), 4, on, 3},          // cap Lm-1
+      {ms(145), ms(200), 4, on, 2},
+      {ms(95), ms(200), 4, on, 1},           // cap at the floor
+      {ms(45), ms(200), 4, on, 0},           // even the floor misses: drop
+      {ms(145), ms(200), 4, {true, 3}, 0},   // raised floor: drop
+      {ms(195), ms(200), 4, {false, 1}, 0},  // degradation off: drop
+      {ms(295), ms(400), 8, on, 5},
+  };
+
+  for (const AdmissionRow& row : rows) {
+    SCOPED_TRACE(testing::Message() << "remaining " << to_us(row.remaining)
+                                    << " us, Lm " << row.lm);
+    runtime::RuntimeConfig cfg;
+    cfg.mode = runtime::RuntimeMode::kPartitioned;
+    cfg.num_basestations = 1;
+    cfg.cores_per_bs = 1;
+    cfg.subframes_per_bs = 1;
+    cfg.subframe_period = ms(5);
+    cfg.rtt_half = rtt_half;
+    cfg.deadline_budget = rtt_half +
+                          fft_subtask * static_cast<Duration>(fft_n) + demod +
+                          row.remaining;
+    cfg.mcs_cycle = {27};
+    cfg.phy.bandwidth = phy::Bandwidth::kMHz5;
+    cfg.phy.num_antennas = kAntennas;
+    cfg.phy.max_iterations = row.lm;
+    // Seeded estimates: the first subframe is admitted on exactly these.
+    const unsigned blocks = phy::num_code_blocks(27, cfg.phy.num_prb());
+    cfg.initial_decode_subtask_est =
+        row.full_estimate / static_cast<Duration>(blocks);
+    cfg.initial_fft_subtask_est = fft_subtask;
+    cfg.initial_demod_est = demod;
+    cfg.resilience.degrade = row.degrade;
+    cfg.trace.enabled = true;
+    cfg.seed = 5;
+    runtime::NodeRuntime rt(cfg);
+    const auto report = rt.run();
+    ASSERT_EQ(report.records.size(), 1u);
+    const unsigned rt_cap = traced_decision(report.trace, row.lm);
+
+    // Sim twin: the same stage estimates, deadline and decode line through
+    // the partitioned scheduler's executor, started when the worker did.
+    const Duration full =
+        cfg.initial_decode_subtask_est * static_cast<Duration>(blocks);
+    sim::SubframeWork w;
+    w.mcs = 27;
+    w.lm = row.lm;
+    w.iterations = row.lm;
+    w.arrival = rtt_half;
+    w.deadline = cfg.deadline_budget;
+    w.costs.fft = fft_subtask * static_cast<Duration>(fft_n);
+    w.costs.demod = demod;
+    w.costs.decode = milliseconds(1);
+    w.wcet.decode = full;
+    w.decode_optimistic = full / static_cast<Duration>(row.lm);
+    obs::Tracer sim_tracer(1);
+    sched::execute_serial(w, report.records[0].start, 0,
+                          sched::AdmissionPolicy::kWcet, row.degrade,
+                          &sim_tracer);
+    const unsigned sim_cap = traced_decision(sim_tracer.take(), row.lm);
+
+    EXPECT_EQ(rt_cap, sim_cap);
+    EXPECT_EQ(rt_cap, row.expected_cap)
+        << "runtime started " << to_us(report.records[0].start - w.arrival)
+        << " us after arrival";
+    EXPECT_EQ(report.records[0].dropped, rt_cap == 0);
+  }
 }
 
 }  // namespace
