@@ -8,17 +8,28 @@
 // Two execution paths share the plan's tables:
 //   * forward/inverse — structure-of-arrays (split re/im) transform. The
 //     split layout gives contiguous unit-stride butterflies per stage that
-//     autovectorize, and avoids libstdc++'s __mulsc3 complex multiply. With
-//     -DRTOPEX_SIMD the inner butterflies additionally use explicit 8-wide
-//     AVX2 (or 4-wide NEON) kernels.
+//     autovectorize, and avoids libstdc++'s __mulsc3 complex multiply. The
+//     bit-reversal permutation runs as a list of swap pairs built at plan
+//     construction (no data-dependent branch). The three narrow stages
+//     (half = 1, 2, 4), too short for the wide butterflies, run fused on
+//     8-point blocks held in registers; the stages with half >= 8 run
+//     unit-stride over contiguous half-spans.
+//     With -DRTOPEX_SIMD the fused blocks and the wide stages use explicit
+//     8-wide AVX2 kernels (the wide stages 4-wide NEON on aarch64).
 //   * transform — the retained scalar interleaved fallback, kept as the
 //     in-place reference for the differential tests.
 // Conjugation for the inverse direction is hoisted into a second twiddle
-// table at plan construction; neither path branches per butterfly.
+// table at plan construction; neither path branches per butterfly. Every
+// path computes each butterfly's products and sums in the same mul/sub/add
+// order from the same tables, so the SoA, SIMD and reference transforms
+// agree bit for bit.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "phy/modulation.hpp"
 
@@ -59,6 +70,9 @@ class FftPlan {
   std::vector<float> tw_im_fwd_;
   std::vector<float> tw_im_inv_;
   std::vector<std::uint32_t> reversal_;  ///< bit-reversal permutation.
+  /// The (i, reversal_[i]) pairs with i < reversal_[i]: the SoA path's
+  /// permutation as a branch-free list of swaps.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> swaps_;
 };
 
 /// O(N^2) reference DFT for testing.

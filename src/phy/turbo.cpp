@@ -4,6 +4,7 @@
 #include <array>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 
 namespace rtopex::phy {
 namespace {
@@ -282,110 +283,117 @@ void siso_decode_flat(const float* sys_in, const float* par_in, std::size_t k,
 // trivially vectorizable (one AVX2 vector or two NEON vectors per row) with
 // contiguous, shuffle-free loads; the 8-state transition shuffles move
 // whole rows, never elements within a row.
+//
+// The four branch metrics of a step are recomputed from its sys/par rows in
+// each sweep (the scalar kernel's table expressions, so the same floats): a
+// step's two input rows are half the bytes of its four metric rows, and the
+// recomputation costs four vector ops per step and sweep.
 void siso_decode_flat_batch(const float* sys_in, const float* par_in,
                             std::size_t k, DecodeWorkspace& ws,
                             float* app_out) {
   constexpr std::size_t kL = kTurboBatchLanes;
   const std::size_t steps = k + 3;
 
-  grow_buffer(ws.bat_gamma, 4 * steps * kL);
   grow_buffer(ws.bat_alpha, 8 * (steps + 1) * kL);
-  float* __restrict__ g = ws.bat_gamma.data();
   float* __restrict__ alpha = ws.bat_alpha.data();
 
-  // Branch-metric rows, indexed (u << 1) | z.
-  for (std::size_t i = 0; i < steps; ++i) {
-    const float* __restrict__ s = sys_in + i * kL;
-    const float* __restrict__ p = par_in + i * kL;
-    float* __restrict__ gi = g + 4 * i * kL;
-    for (std::size_t b = 0; b < kL; ++b) {
-      const float a = 0.5f * s[b];
-      const float c = 0.5f * p[b];
-      gi[0 * kL + b] = a + c;     // u=0, z=0
-      gi[1 * kL + b] = a - c;     // u=0, z=1
-      gi[2 * kL + b] = c - a;     // u=1, z=0
-      gi[3 * kL + b] = -(a + c);  // u=1, z=1
-    }
-  }
-
-  // Forward pass over the same transition map as the scalar kernel.
+  // Forward pass over the same transition map as the scalar kernel; branch
+  // metrics indexed (u << 1) | z.
   for (std::size_t b = 0; b < kL; ++b) alpha[b] = 0.0f;
   for (std::size_t s = 1; s < 8; ++s)
     for (std::size_t b = 0; b < kL; ++b) alpha[s * kL + b] = kNegInf;
   for (std::size_t i = 0; i < steps; ++i) {
     const float* __restrict__ a = alpha + 8 * i * kL;
     float* __restrict__ n = alpha + 8 * (i + 1) * kL;
-    const float* __restrict__ g0 = g + (4 * i + 0) * kL;
-    const float* __restrict__ g1 = g + (4 * i + 1) * kL;
-    const float* __restrict__ g2 = g + (4 * i + 2) * kL;
-    const float* __restrict__ g3 = g + (4 * i + 3) * kL;
+    const float* __restrict__ sy = sys_in + i * kL;
+    const float* __restrict__ pa = par_in + i * kL;
     for (std::size_t b = 0; b < kL; ++b) {
-      n[0 * kL + b] = std::max(a[0 * kL + b] + g0[b], a[4 * kL + b] + g3[b]);
-      n[1 * kL + b] = std::max(a[0 * kL + b] + g3[b], a[4 * kL + b] + g0[b]);
-      n[2 * kL + b] = std::max(a[1 * kL + b] + g1[b], a[5 * kL + b] + g2[b]);
-      n[3 * kL + b] = std::max(a[1 * kL + b] + g2[b], a[5 * kL + b] + g1[b]);
-      n[4 * kL + b] = std::max(a[2 * kL + b] + g2[b], a[6 * kL + b] + g1[b]);
-      n[5 * kL + b] = std::max(a[2 * kL + b] + g1[b], a[6 * kL + b] + g2[b]);
-      n[6 * kL + b] = std::max(a[3 * kL + b] + g3[b], a[7 * kL + b] + g0[b]);
-      n[7 * kL + b] = std::max(a[3 * kL + b] + g0[b], a[7 * kL + b] + g3[b]);
+      const float x = 0.5f * sy[b];
+      const float y = 0.5f * pa[b];
+      const float g0 = x + y;     // u=0, z=0
+      const float g1 = x - y;     // u=0, z=1
+      const float g2 = y - x;     // u=1, z=0
+      const float g3 = -(x + y);  // u=1, z=1
+      n[0 * kL + b] = std::max(a[0 * kL + b] + g0, a[4 * kL + b] + g3);
+      n[1 * kL + b] = std::max(a[0 * kL + b] + g3, a[4 * kL + b] + g0);
+      n[2 * kL + b] = std::max(a[1 * kL + b] + g1, a[5 * kL + b] + g2);
+      n[3 * kL + b] = std::max(a[1 * kL + b] + g2, a[5 * kL + b] + g1);
+      n[4 * kL + b] = std::max(a[2 * kL + b] + g2, a[6 * kL + b] + g1);
+      n[5 * kL + b] = std::max(a[2 * kL + b] + g1, a[6 * kL + b] + g2);
+      n[6 * kL + b] = std::max(a[3 * kL + b] + g3, a[7 * kL + b] + g0);
+      n[7 * kL + b] = std::max(a[3 * kL + b] + g0, a[7 * kL + b] + g3);
     }
   }
 
-  // Backward sweep with fused LLR extraction; beta lives in two 8x8 row
-  // blocks (64 floats each — 8 AVX2 vectors) that swap roles per step.
-  alignas(64) float beta_a[8 * kL];
-  alignas(64) float beta_b[8 * kL];
-  float* __restrict__ bb = beta_a;
-  float* __restrict__ bp = beta_b;
-  for (std::size_t b = 0; b < kL; ++b) bb[b] = 0.0f;  // terminated trellis
+  // Backward sweep with fused LLR extraction; beta is one local 8x8 block
+  // (8 states x 8 lanes) updated in place, each lane reading its old column
+  // before writing the new one.
+  alignas(64) float beta[8 * kL];
+  for (std::size_t b = 0; b < kL; ++b) beta[b] = 0.0f;  // terminated trellis
   for (std::size_t s = 1; s < 8; ++s)
-    for (std::size_t b = 0; b < kL; ++b) bb[s * kL + b] = kNegInf;
-  const auto beta_step = [&](std::size_t i) {
-    const float* __restrict__ g0 = g + (4 * i + 0) * kL;
-    const float* __restrict__ g1 = g + (4 * i + 1) * kL;
-    const float* __restrict__ g2 = g + (4 * i + 2) * kL;
-    const float* __restrict__ g3 = g + (4 * i + 3) * kL;
-    for (std::size_t b = 0; b < kL; ++b) {
-      bp[0 * kL + b] = std::max(bb[0 * kL + b] + g0[b], bb[1 * kL + b] + g3[b]);
-      bp[1 * kL + b] = std::max(bb[2 * kL + b] + g1[b], bb[3 * kL + b] + g2[b]);
-      bp[2 * kL + b] = std::max(bb[5 * kL + b] + g1[b], bb[4 * kL + b] + g2[b]);
-      bp[3 * kL + b] = std::max(bb[7 * kL + b] + g0[b], bb[6 * kL + b] + g3[b]);
-      bp[4 * kL + b] = std::max(bb[1 * kL + b] + g0[b], bb[0 * kL + b] + g3[b]);
-      bp[5 * kL + b] = std::max(bb[3 * kL + b] + g1[b], bb[2 * kL + b] + g2[b]);
-      bp[6 * kL + b] = std::max(bb[4 * kL + b] + g1[b], bb[5 * kL + b] + g2[b]);
-      bp[7 * kL + b] = std::max(bb[6 * kL + b] + g0[b], bb[7 * kL + b] + g3[b]);
-    }
-    std::swap(bb, bp);
-  };
-  for (std::size_t i = steps; i-- > k;) beta_step(i);
-  for (std::size_t i = k; i-- > 0;) {
+    for (std::size_t b = 0; b < kL; ++b) beta[s * kL + b] = kNegInf;
+  // Retires beta to step i; for data steps (kExtract) the step's LLR is
+  // first extracted from (alpha[i], gamma[i], beta[i+1]).
+  const auto step = [&](std::size_t i, auto extract) {
+    constexpr bool kExtract = decltype(extract)::value;
     const float* __restrict__ a = alpha + 8 * i * kL;
-    const float* __restrict__ g0 = g + (4 * i + 0) * kL;
-    const float* __restrict__ g1 = g + (4 * i + 1) * kL;
-    const float* __restrict__ g2 = g + (4 * i + 2) * kL;
-    const float* __restrict__ g3 = g + (4 * i + 3) * kL;
-    float* __restrict__ out = app_out + i * kL;
+    float* __restrict__ out = kExtract ? app_out + i * kL : nullptr;
+    const float* __restrict__ sy = sys_in + i * kL;
+    const float* __restrict__ pa = par_in + i * kL;
     for (std::size_t b = 0; b < kL; ++b) {
-      float m0 = (a[0 * kL + b] + g0[b]) + bb[0 * kL + b];
-      m0 = std::max(m0, (a[1 * kL + b] + g1[b]) + bb[2 * kL + b]);
-      m0 = std::max(m0, (a[2 * kL + b] + g1[b]) + bb[5 * kL + b]);
-      m0 = std::max(m0, (a[3 * kL + b] + g0[b]) + bb[7 * kL + b]);
-      m0 = std::max(m0, (a[4 * kL + b] + g0[b]) + bb[1 * kL + b]);
-      m0 = std::max(m0, (a[5 * kL + b] + g1[b]) + bb[3 * kL + b]);
-      m0 = std::max(m0, (a[6 * kL + b] + g1[b]) + bb[4 * kL + b]);
-      m0 = std::max(m0, (a[7 * kL + b] + g0[b]) + bb[6 * kL + b]);
-      float m1 = (a[0 * kL + b] + g3[b]) + bb[1 * kL + b];
-      m1 = std::max(m1, (a[1 * kL + b] + g2[b]) + bb[3 * kL + b]);
-      m1 = std::max(m1, (a[2 * kL + b] + g2[b]) + bb[4 * kL + b]);
-      m1 = std::max(m1, (a[3 * kL + b] + g3[b]) + bb[6 * kL + b]);
-      m1 = std::max(m1, (a[4 * kL + b] + g3[b]) + bb[0 * kL + b]);
-      m1 = std::max(m1, (a[5 * kL + b] + g2[b]) + bb[2 * kL + b]);
-      m1 = std::max(m1, (a[6 * kL + b] + g2[b]) + bb[5 * kL + b]);
-      m1 = std::max(m1, (a[7 * kL + b] + g3[b]) + bb[7 * kL + b]);
-      out[b] = m0 - m1;
+      const float x = 0.5f * sy[b];
+      const float y = 0.5f * pa[b];
+      const float g0 = x + y;
+      const float g1 = x - y;
+      const float g2 = y - x;
+      const float g3 = -(x + y);
+      const float b0 = beta[0 * kL + b], b1 = beta[1 * kL + b];
+      const float b2 = beta[2 * kL + b], b3 = beta[3 * kL + b];
+      const float b4 = beta[4 * kL + b], b5 = beta[5 * kL + b];
+      const float b6 = beta[6 * kL + b], b7 = beta[7 * kL + b];
+      if constexpr (kExtract) {
+        float m0 = (a[0 * kL + b] + g0) + b0;
+        m0 = std::max(m0, (a[1 * kL + b] + g1) + b2);
+        m0 = std::max(m0, (a[2 * kL + b] + g1) + b5);
+        m0 = std::max(m0, (a[3 * kL + b] + g0) + b7);
+        m0 = std::max(m0, (a[4 * kL + b] + g0) + b1);
+        m0 = std::max(m0, (a[5 * kL + b] + g1) + b3);
+        m0 = std::max(m0, (a[6 * kL + b] + g1) + b4);
+        m0 = std::max(m0, (a[7 * kL + b] + g0) + b6);
+        float m1 = (a[0 * kL + b] + g3) + b1;
+        m1 = std::max(m1, (a[1 * kL + b] + g2) + b3);
+        m1 = std::max(m1, (a[2 * kL + b] + g2) + b4);
+        m1 = std::max(m1, (a[3 * kL + b] + g3) + b6);
+        m1 = std::max(m1, (a[4 * kL + b] + g3) + b0);
+        m1 = std::max(m1, (a[5 * kL + b] + g2) + b2);
+        m1 = std::max(m1, (a[6 * kL + b] + g2) + b5);
+        m1 = std::max(m1, (a[7 * kL + b] + g3) + b7);
+        out[b] = m0 - m1;
+      }
+      beta[0 * kL + b] = std::max(b0 + g0, b1 + g3);
+      beta[1 * kL + b] = std::max(b2 + g1, b3 + g2);
+      beta[2 * kL + b] = std::max(b5 + g1, b4 + g2);
+      beta[3 * kL + b] = std::max(b7 + g0, b6 + g3);
+      beta[4 * kL + b] = std::max(b1 + g0, b0 + g3);
+      beta[5 * kL + b] = std::max(b3 + g1, b2 + g2);
+      beta[6 * kL + b] = std::max(b4 + g1, b5 + g2);
+      beta[7 * kL + b] = std::max(b6 + g0, b7 + g3);
     }
-    beta_step(i);
-  }
+  };
+  for (std::size_t i = steps; i-- > k;) step(i, std::false_type{});
+  for (std::size_t i = k; i-- > 0;) step(i, std::true_type{});
+}
+
+// One lane row of a SISO input: the channel row plus the other decoder's
+// extrinsic, app - in, in the scalar decoder's operation order. The
+// restrict-qualified rows let the compiler vectorize the row even where the
+// caller computes its addresses from the interleaver.
+inline void add_extrinsic_row(float* __restrict__ out,
+                              const float* __restrict__ channel,
+                              const float* __restrict__ app,
+                              const float* __restrict__ in) {
+  for (std::size_t b = 0; b < kTurboBatchLanes; ++b)
+    out[b] = channel[b] + (app[b] - in[b]);
 }
 
 }  // namespace
@@ -536,34 +544,41 @@ void TurboDecoder::decode_batch_into(
   grow_buffer(ws.bat_par1, (k + 3) * kL);
   grow_buffer(ws.bat_sys2, (k + 3) * kL);
   grow_buffer(ws.bat_par2, (k + 3) * kL);
-  grow_buffer(ws.bat_ext1, k * kL);
-  grow_buffer(ws.bat_ext2, k * kL);
   grow_buffer(ws.bat_app, k * kL);
   grow_buffer(ws.bat_bits, k * kL);
+  grow_buffer(ws.bat_signs, k);
   float* __restrict__ sysc = ws.bat_sysc.data();
   float* __restrict__ sys1 = ws.bat_sys1.data();
   float* __restrict__ par1 = ws.bat_par1.data();
   float* __restrict__ sys2 = ws.bat_sys2.data();
   float* __restrict__ par2 = ws.bat_par2.data();
-  float* __restrict__ ext1 = ws.bat_ext1.data();
-  float* __restrict__ ext2 = ws.bat_ext2.data();
   float* __restrict__ app = ws.bat_app.data();
+  std::uint8_t* __restrict__ signs = ws.bat_signs.data();
 
-  // Transpose the lane streams into lane-major rows; ragged tail lanes are
-  // zero-filled, which keeps their metrics finite (the kNegInf arithmetic
-  // never overflows) and their extrinsics identically zero — padding costs
-  // no masking anywhere in the hot loops.
-  for (std::size_t i = 0; i < k; ++i) {
-    float* sc = sysc + i * kL;
-    float* p1 = par1 + i * kL;
-    float* p2 = par2 + i * kL;
-    for (std::size_t b = 0; b < n; ++b) {
-      sc[b] = lanes[b].systematic[i];
-      p1[b] = lanes[b].parity1[i];
-      p2[b] = lanes[b].parity2[i];
+  // Transpose the lane streams into lane-major rows in 8x8 tiles (eight
+  // positions of eight lanes); ragged tail lanes are zero-filled, which
+  // keeps their metrics finite (the kNegInf arithmetic never overflows) and
+  // their extrinsics identically zero — padding costs no masking anywhere in
+  // the hot loops.
+  const auto transpose = [&](auto stream, float* __restrict__ rows) {
+    std::size_t i0 = 0;
+    for (; i0 + 8 <= k; i0 += 8) {
+      float tile[kL][8] = {};
+      for (std::size_t b = 0; b < n; ++b) {
+        const float* __restrict__ src = (lanes[b].*stream).data() + i0;
+        for (std::size_t j = 0; j < 8; ++j) tile[b][j] = src[j];
+      }
+      for (std::size_t j = 0; j < 8; ++j)
+        for (std::size_t b = 0; b < kL; ++b)
+          rows[(i0 + j) * kL + b] = tile[b][j];
     }
-    for (std::size_t b = n; b < kL; ++b) sc[b] = p1[b] = p2[b] = 0.0f;
-  }
+    for (; i0 < k; ++i0)
+      for (std::size_t b = 0; b < kL; ++b)
+        rows[i0 * kL + b] = b < n ? (lanes[b].*stream)[i0] : 0.0f;
+  };
+  transpose(&TurboBatchLane::systematic, sysc);
+  transpose(&TurboBatchLane::parity1, par1);
+  transpose(&TurboBatchLane::parity2, par2);
   // Tail rows, unpacked exactly as decode_into (see encoder packing).
   for (std::size_t i = 0; i < 3; ++i) {
     float* s1 = sys1 + (k + i) * kL;
@@ -585,7 +600,6 @@ void TurboDecoder::decode_batch_into(
     par2[(k + 2) * kL + b] = lanes[b].parity2[k + 3];
   }
 
-  for (std::size_t i = 0; i < k * kL; ++i) ext2[i] = 0.0f;
   for (std::size_t b = 0; b < n; ++b) {
     std::uint8_t* bits = ws.bat_bits.data() + b * k;
     for (std::size_t i = 0; i < k; ++i) bits[i] = 0;
@@ -601,36 +615,45 @@ void TurboDecoder::decode_batch_into(
   const unsigned lm = max_iterations_override == 0
                           ? max_iterations_
                           : std::min(max_iterations_, max_iterations_override);
+  // The extrinsics never get rows of their own: each is added to the
+  // channel row where it is produced, with the scalar decoder's operations
+  // in its order (sys + (app - sys_in)). The first SISO 1 input adds the
+  // all-zero extrinsic 2 as a literal 0.0f, which rounds exactly as the
+  // scalar decoder's zeroed buffer does (-0.0f + 0.0f is +0.0f).
+  for (std::size_t i = 0; i < k * kL; ++i) sys1[i] = sysc[i] + 0.0f;
   for (unsigned iter = 1; iter <= lm && num_active > 0; ++iter) {
     // --- SISO 1 (rows 0..k-1 are contiguous: one flat vertical pass) ---
-    for (std::size_t i = 0; i < k * kL; ++i) sys1[i] = sysc[i] + ext2[i];
     siso_decode_flat_batch(sys1, par1, k, ws, app);
-    for (std::size_t i = 0; i < k * kL; ++i) ext1[i] = app[i] - sys1[i];
 
     // --- SISO 2 (interleaved domain; the gather moves whole rows, so each
-    // QPP lookup serves all 8 lanes with one contiguous row copy) ---
+    // QPP lookup serves all 8 lanes with contiguous row loads). Its input
+    // is the channel plus extrinsic 1, app - sys1. ---
     for (std::size_t i = 0; i < k; ++i) {
       const std::size_t src = fwd[i] * kL;
-      float* s2 = sys2 + i * kL;
-      for (std::size_t b = 0; b < kL; ++b)
-        s2[b] = sysc[src + b] + ext1[src + b];
+      add_extrinsic_row(sys2 + i * kL, sysc + src, app + src, sys1 + src);
     }
     siso_decode_flat_batch(sys2, par2, k, ws, app);
+    // The scatter writes the next SISO 1 input, the channel plus extrinsic
+    // 2 (app - sys2), and takes every lane's hard decision at once: bit b
+    // of signs[j] is lane b's decision for data position j.
     for (std::size_t i = 0; i < k; ++i) {
-      const std::size_t src = fwd[i] * kL;
+      const std::size_t src = fwd[i];
       const float* ap = app + i * kL;
-      const float* s2 = sys2 + i * kL;
-      for (std::size_t b = 0; b < kL; ++b) ext2[src + b] = ap[b] - s2[b];
+      add_extrinsic_row(sys1 + src * kL, sysc + src * kL, ap, sys2 + i * kL);
+      unsigned mask = 0;
+      for (std::size_t b = 0; b < kL; ++b)
+        mask |= static_cast<unsigned>(ap[b] < 0.0f) << b;
+      signs[src] = static_cast<std::uint8_t>(mask);
     }
 
-    // Hard decisions and CRC per still-active lane; a lane whose CRC passes
+    // Expand and CRC-check each still-active lane; a lane whose CRC passes
     // freezes with exactly the bits and iteration count the scalar
     // decode_into would have returned for that block.
     for (std::size_t b = 0; b < n; ++b) {
       if (!active[b]) continue;
       std::uint8_t* bits = ws.bat_bits.data() + b * k;
-      for (std::size_t i = 0; i < k; ++i)
-        bits[fwd[i]] = app[i * kL + b] < 0.0f ? 1 : 0;
+      for (std::size_t j = 0; j < k; ++j)
+        bits[j] = static_cast<std::uint8_t>((signs[j] >> b) & 1u);
       ws.bat_iterations[b] = iter;
       if (crc_check &&
           crc_check(b, std::span<const std::uint8_t>(bits, k))) {

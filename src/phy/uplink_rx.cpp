@@ -411,6 +411,7 @@ void UplinkRxProcessor::run_decode_batch(std::span<Job* const> jobs,
                                          DecodeWorkspace& ws) const {
   constexpr std::size_t kMaxJobs = 16;
   constexpr std::size_t kL = kTurboBatchLanes;
+  constexpr std::size_t kScalarMaxLanes = 2;
   if (jobs.empty() || jobs.size() > kMaxJobs)
     throw std::invalid_argument("run_decode_batch: 1..16 jobs required");
 
@@ -456,11 +457,13 @@ void UplinkRxProcessor::run_decode_batch(std::span<Job* const> jobs,
     for (std::size_t g0 = 0; g0 < ws.bat_group.size(); g0 += kL) {
       const std::size_t lanes_n = std::min(kL, ws.bat_group.size() - g0);
       // The SoA sweep costs a full 8-lane pass regardless of fill (ragged
-      // lanes are padded), roughly four scalar blocks' worth. Mostly-empty
-      // residual groups are cheaper through the scalar decoder, which is
-      // bit-identical (the batch differential tests assert exactly that),
-      // so this is a pure cost decision.
-      if (lanes_n <= kL / 2 - 1) {
+      // lanes are padded): about 2.1 scalar blocks' worth (Release + SIMD,
+      // BM_TurboDecodeBatch/6144/1 over BM_TurboDecode/6144/1 in one
+      // process, median of nine runs 2.09, quartiles 2.07-2.17). Groups
+      // of at most kScalarMaxLanes blocks are cheaper through the scalar
+      // decoder, which is bit-identical (the batch differential tests
+      // assert exactly that), so this is a pure cost decision.
+      if (lanes_n <= kScalarMaxLanes) {
         for (std::size_t b = 0; b < lanes_n; ++b) {
           const std::uint32_t pair = ws.bat_group[g0 + b];
           run_decode_subtask(*jobs[pair >> 16], pair & 0xFFFF, ws);

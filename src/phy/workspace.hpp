@@ -92,12 +92,12 @@ struct DecodeWorkspace {
   std::vector<float> bat_sysc;      ///< channel systematic rows (K).
   std::vector<float> bat_sys1, bat_par1;  ///< SISO 1 input rows (K+3).
   std::vector<float> bat_sys2, bat_par2;  ///< SISO 2 input rows (K+3).
-  std::vector<float> bat_ext1, bat_ext2;  ///< extrinsic rows (K).
   std::vector<float> bat_app;       ///< SISO a-posteriori rows (K).
-  std::vector<float> bat_gamma;     ///< branch-metric rows (4*(K+3)).
   std::vector<float> bat_alpha;     ///< forward-metric rows (8*(K+4)).
   std::vector<std::uint8_t> bat_bits;  ///< lane-contiguous decisions (K per
                                        ///< lane, lane b at [b*K, (b+1)*K)).
+  std::vector<std::uint8_t> bat_signs;  ///< per-position decision masks (K):
+                                        ///< bit b is lane b's decision.
   std::array<unsigned, 8> bat_iterations{};      ///< per-lane iterations.
   std::array<bool, 8> bat_early_terminated{};    ///< per-lane CRC pass.
   /// Cross-subframe batching scratch: (job, block) pairs grouped by K.

@@ -7,8 +7,11 @@
 // bug, not tolerance noise.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
 #include <thread>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "phy/crc.hpp"
@@ -17,6 +20,8 @@
 #include "phy/rate_match.hpp"
 #include "phy/scrambler.hpp"
 #include "phy/turbo.hpp"
+#include "phy/uplink_rx.hpp"
+#include "phy/uplink_tx.hpp"
 #include "phy/workspace.hpp"
 
 namespace rtopex::phy {
@@ -339,12 +344,13 @@ TEST(TurboBatchDifferentialTest, AllBatchWidthsMatchScalarExactly) {
                                ws);
 }
 
-// Block sizes spanning the MCS classes (tiny blocks to the 6144 maximum),
+// Block sizes spanning the MCS classes (tiny blocks to the 6144 maximum,
+// plus K = 100, which is not a multiple of the 8-position transpose tile),
 // free-running and iteration-capped (degraded mode), full batches.
 TEST(TurboBatchDifferentialTest, BlockSizesAndCapsMatchScalarExactly) {
   const double snrs[] = {4.0, -2.0, 1.0, -5.0, 7.0, 0.5, -1.5, 3.0};
   DecodeWorkspace ws;
-  for (const std::size_t k : {40u, 104u, 512u, 2048u, 6144u}) {
+  for (const std::size_t k : {40u, 100u, 104u, 512u, 2048u, 6144u}) {
     check_batch_against_scalar(k, kTurboBatchLanes, /*lm=*/4, /*cap=*/0,
                                /*with_crc=*/false, 1200 + k, snrs, ws);
     check_batch_against_scalar(k, kTurboBatchLanes, /*lm=*/4, /*cap=*/2,
@@ -361,6 +367,126 @@ TEST(TurboBatchDifferentialTest, CrcGatedBlockSizesMatchScalarExactly) {
   for (const std::size_t k : {104u, 512u, 6144u})
     check_batch_against_scalar(k, kTurboBatchLanes, /*lm=*/6, /*cap=*/0,
                                /*with_crc=*/true, 1400 + k, snrs, ws);
+}
+
+// --- Batched decode stage --------------------------------------------------
+
+// run_decode_batch over a 16-job span must leave every job's cb_results
+// (bits, iterations, CRC verdict) exactly as run_decode_subtask over each
+// block of a copy of that job. The span is built so one call exercises the
+// stage's whole grouping logic: blocks group under (K, iteration cap) keys
+// in first-appearance order — jobs at different MCS with equal K share a
+// key, the capped job gets its own key beside an uncapped one of equal K,
+// and one key spills over eight lanes — so the groups take every size from
+// 1 to 8, the small ones through the scalar fallback. Batched groups mix
+// single-block lanes (CRC24A after filler) with segmented ones (CRC24B),
+// and per-job noise makes some blocks iterate more than once, some run to
+// the cap and some fail.
+TEST(UplinkBatchDifferentialTest, SixteenJobSpanMatchesPerSubtaskDecode) {
+  struct JobSpec {
+    unsigned mcs;
+    unsigned cap;
+    double snr_db;
+  };
+  // K (blocks) per MCS at 10 MHz: 0: 1376 (1), 2: 2240 (1), 5: 4224 (1),
+  // 7: 6080 (1), 8: 3584 (2), 9: 4032 (2), 13: 4224 (3), 14: 4736 (3),
+  // 17: 4672 (4), 23: 5312 (5), 24: 5568 (5), 26: 6080 (5), 27: 5312 (6).
+  const JobSpec specs[] = {
+      {27, 0, 14.0}, {0, 0, -6.0}, {13, 0, 5.0},  {7, 0, -2.0},
+      {8, 0, 0.0},   {5, 0, -2.0}, {17, 0, 7.0},  {23, 0, 12.0},
+      {26, 0, 12.0}, {13, 0, 4.0}, {24, 0, 13.0}, {27, 1, 13.0},
+      {14, 0, 30.0}, {2, 0, -4.0}, {9, 0, 0.0},   {27, 0, 20.0},
+  };
+  constexpr std::size_t kJobs = std::size(specs);
+  static_assert(kJobs == 16);
+
+  UplinkConfig cfg;
+  const UplinkTransmitter tx(cfg);
+  const UplinkRxProcessor rx(cfg);
+  DecodeWorkspace ws;
+  std::vector<UplinkRxJob> jobs;
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    const JobSpec& spec = specs[j];
+    const TxSubframe sf = tx.transmit(spec.mcs, static_cast<std::uint32_t>(j),
+                                      500 + j);
+    double power = 0.0;
+    for (const Complex& x : sf.samples) power += std::norm(x);
+    power /= static_cast<double>(sf.samples.size());
+    const double sigma =
+        std::sqrt(power / std::pow(10.0, spec.snr_db / 10.0) / 2.0);
+    Rng rng(600 + j);
+    std::vector<IqVector> antennas(cfg.num_antennas, sf.samples);
+    for (IqVector& a : antennas)
+      for (Complex& x : a)
+        x += Complex(static_cast<float>(rng.normal(0.0, sigma)),
+                     static_cast<float>(rng.normal(0.0, sigma)));
+
+    UplinkRxJob job = rx.make_job();
+    rx.begin(job, antennas, spec.mcs, sf.subframe_index);
+    job.iteration_cap = spec.cap;
+    for (std::size_t i = 0; i < rx.fft_subtask_count(); ++i)
+      rx.run_fft_subtask(job, i, ws);
+    rx.demod_prepare(job);
+    for (std::size_t i = 0; i < rx.demod_subtask_count(); ++i)
+      rx.run_demod_subtask(job, i);
+    rx.decode_prepare(job, ws);
+    jobs.push_back(std::move(job));
+  }
+
+  // The fixture's group sizes, derived like the stage derives them.
+  std::vector<std::pair<std::size_t, unsigned>> keys;
+  std::vector<std::size_t> key_blocks;
+  for (const JobSpec& spec : specs) {
+    const CodeBlockLayout layout = code_block_layout(cfg, spec.mcs);
+    const std::pair<std::size_t, unsigned> key{layout.block_size, spec.cap};
+    const auto it = std::find(keys.begin(), keys.end(), key);
+    if (it == keys.end()) {
+      keys.push_back(key);
+      key_blocks.push_back(layout.e_bits.size());
+    } else {
+      key_blocks[static_cast<std::size_t>(it - keys.begin())] +=
+          layout.e_bits.size();
+    }
+  }
+  std::set<std::size_t> group_sizes;
+  for (std::size_t blocks : key_blocks) {
+    for (; blocks > kTurboBatchLanes; blocks -= kTurboBatchLanes)
+      group_sizes.insert(kTurboBatchLanes);
+    group_sizes.insert(blocks);
+  }
+  EXPECT_EQ(group_sizes, (std::set<std::size_t>{1, 2, 3, 4, 5, 6, 7, 8}));
+
+  std::vector<UplinkRxJob> expected = jobs;
+  for (UplinkRxJob& job : expected)
+    for (std::size_t i = 0; i < rx.decode_subtask_count(job); ++i)
+      rx.run_decode_subtask(job, i, ws);
+
+  std::vector<UplinkRxJob*> span;
+  for (UplinkRxJob& job : jobs) span.push_back(&job);
+  rx.run_decode_batch(std::span<UplinkRxJob* const>(span), ws);
+
+  unsigned multi_iteration = 0, passed = 0, failed = 0;
+  for (std::size_t j = 0; j < kJobs; ++j) {
+    ASSERT_EQ(jobs[j].cb_results.size(), expected[j].cb_results.size());
+    for (std::size_t i = 0; i < jobs[j].cb_results.size(); ++i) {
+      const auto& got = jobs[j].cb_results[i];
+      const auto& want = expected[j].cb_results[i];
+      EXPECT_EQ(got.bits, want.bits) << "job " << j << " block " << i;
+      EXPECT_EQ(got.iterations, want.iterations)
+          << "job " << j << " block " << i;
+      EXPECT_EQ(got.crc_ok, want.crc_ok) << "job " << j << " block " << i;
+      multi_iteration += want.iterations > 1;
+      passed += want.crc_ok;
+      failed += !want.crc_ok;
+      if (specs[j].cap != 0) {
+        EXPECT_LE(want.iterations, specs[j].cap);
+      }
+    }
+  }
+  // The fixture must keep exercising what it claims to.
+  EXPECT_GT(multi_iteration, 0u);
+  EXPECT_GT(passed, 0u);
+  EXPECT_GT(failed, 0u);
 }
 
 // --- Demapper --------------------------------------------------------------
