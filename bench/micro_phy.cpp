@@ -29,7 +29,6 @@
 #include "bench_util.hpp"
 #include "channel/channel.hpp"
 #include "common/rng.hpp"
-#include "common/thread_utils.hpp"
 #include "obs/profile/profile_report.hpp"
 #include "phy/crc.hpp"
 #include "phy/fft.hpp"
@@ -327,8 +326,6 @@ void run_profiled_pass(const std::string& folded_path) {
   profile::ProfileConfig pcfg;
   pcfg.enabled = true;
   profile::Profiler profiler(1, pcfg);
-  profiler.set_clock(
-      [] { return static_cast<rtopex::TimePoint>(rtopex::monotonic_ns()); });
   for (const unsigned mcs : {0u, 13u, 27u}) {
     SubframeFixture f(mcs);
     auto& ws = UplinkRxProcessor::thread_workspace();

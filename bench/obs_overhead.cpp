@@ -48,10 +48,10 @@ void BM_ProfileSpan(benchmark::State& state) {
   profile::Profiler profiler(1, cfg);
   std::uint64_t n = 0;
   for (auto _ : state) {
-    const auto token =
-        profiler.begin(0, "bench", Stage::kDecode, 0,
-                       static_cast<std::uint32_t>(n));
-    profiler.end(0, token, 1, 2);
+    const auto ts = static_cast<TimePoint>(n);
+    const auto token = profiler.begin(0, ts, "bench", Stage::kDecode, 0,
+                                      static_cast<std::uint32_t>(n));
+    profiler.end(0, token, ts, 1, 2);
     if ((++n & 0x3fff) == 0) {
       state.PauseTiming();
       benchmark::DoNotOptimize(profiler.take());

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_utils.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/profile/profile_report.hpp"
@@ -110,7 +109,6 @@ int main(int argc, char** argv) {
   }
 
   profile::Profiler profiler(1, pcfg);
-  profiler.set_clock([] { return static_cast<TimePoint>(monotonic_ns()); });
   std::printf("backend: %s (perf %savailable)\n",
               profile::to_string(profiler.backend()),
               profile::perf_available() ? "" : "un");

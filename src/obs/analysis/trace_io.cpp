@@ -2,16 +2,12 @@
 // TraceStore, so the analyzer (and the rtopex_analyze CLI) can run on an
 // exported trace file long after the run that produced it.
 //
-// Format versions:
-//  * v1 — header first column "ts_ns", no footer (pre-footer files; still
-//    loadable, but truncation is undetectable).
-//  * v2 — header first column "ts_ns_v2"; the last row is a footer sentinel
-//    (kind = kTraceCsvFooterKind) carrying the event count and the
-//    ring/store drop counters. A v2 file with a missing footer or a
-//    mismatched count is rejected: its tail was cut off.
-//  * v3 — header first column "ts_ns_v3"; between the events and the footer
-//    sit per-track ring-drop rows (kind = kTraceCsvTrackDropsKind, core =
-//    track, a = that ring's drops), restoring ring_drops_per_track on load.
+// The format is the one version write_trace_csv emits: header first column
+// "ts_ns_v3"; after the events, per-track ring-drop rows (kind =
+// kTraceCsvTrackDropsKind, core = track, a = that ring's drops) and a
+// footer sentinel (kind = kTraceCsvFooterKind) carrying the event count and
+// the ring/store drop counters. Any other header is rejected, and so is a
+// file with a missing footer or a mismatched count: its tail was cut off.
 #include <cmath>
 #include <stdexcept>
 
@@ -38,47 +34,41 @@ TraceStore load_trace_csv(const std::string& path) {
   CsvTable table = read_csv(path);
 
   // Version gate on the first header column. Headerless files (or files
-  // whose first row parsed as data) are rejected outright — every version
-  // of write_trace_csv has emitted a header.
+  // whose first row parsed as data) are rejected outright.
   if (table.header.empty())
     throw std::runtime_error("load_trace_csv: missing header in " + path);
   const std::string& version = table.header.front();
-  const bool v3 = version == "ts_ns_v3";
-  const bool v2 = v3 || version == "ts_ns_v2";
-  if (!v2 && version != "ts_ns")
+  if (version != "ts_ns_v3")
     throw std::runtime_error("load_trace_csv: unknown trace CSV version \"" +
                              version + "\" in " + path);
 
+  // The footer must be the last row; anything else means the file lost its
+  // tail (truncated download, interrupted writer, ...).
+  if (table.rows.empty() || table.rows.back().size() != 8 ||
+      as_u32(table.rows.back()[2]) != kTraceCsvFooterKind)
+    throw std::runtime_error(
+        "load_trace_csv: trace CSV footer missing (file truncated?): " + path);
   TraceStore store;
-  if (v2) {
-    // The footer must be the last row; anything else means the file lost
-    // its tail (truncated download, interrupted writer, ...).
-    if (table.rows.empty() || table.rows.back().size() != 8 ||
-        as_u32(table.rows.back()[2]) != kTraceCsvFooterKind)
-      throw std::runtime_error(
-          "load_trace_csv: trace CSV footer missing (file truncated?): " +
-          path);
-    const std::vector<double>& footer = table.rows.back();
-    const std::uint64_t expected = static_cast<std::uint64_t>(as_i64(footer[0]));
-    store.ring_drops = as_u32(footer[6]);
-    store.store_drops = as_u32(footer[7]);
+  const std::vector<double>& footer = table.rows.back();
+  const std::uint64_t expected = static_cast<std::uint64_t>(as_i64(footer[0]));
+  store.ring_drops = as_u32(footer[6]);
+  store.store_drops = as_u32(footer[7]);
+  table.rows.pop_back();
+  // Per-track ring-drop rows sit just before the footer.
+  while (!table.rows.empty() && table.rows.back().size() == 8 &&
+         as_u32(table.rows.back()[2]) == kTraceCsvTrackDropsKind) {
+    const std::vector<double>& row = table.rows.back();
+    const std::uint32_t track = as_u32(row[1]);
+    if (store.ring_drops_per_track.size() <= track)
+      store.ring_drops_per_track.resize(track + 1, 0);
+    store.ring_drops_per_track[track] = as_u32(row[6]);
     table.rows.pop_back();
-    // v3: per-track ring-drop rows sit just before the footer.
-    while (v3 && !table.rows.empty() && table.rows.back().size() == 8 &&
-           as_u32(table.rows.back()[2]) == kTraceCsvTrackDropsKind) {
-      const std::vector<double>& row = table.rows.back();
-      const std::uint32_t track = as_u32(row[1]);
-      if (store.ring_drops_per_track.size() <= track)
-        store.ring_drops_per_track.resize(track + 1, 0);
-      store.ring_drops_per_track[track] = as_u32(row[6]);
-      table.rows.pop_back();
-    }
-    if (table.rows.size() != expected)
-      throw std::runtime_error(
-          "load_trace_csv: event count mismatch (footer says " +
-          std::to_string(expected) + ", file has " +
-          std::to_string(table.rows.size()) + "): " + path);
   }
+  if (table.rows.size() != expected)
+    throw std::runtime_error(
+        "load_trace_csv: event count mismatch (footer says " +
+        std::to_string(expected) + ", file has " +
+        std::to_string(table.rows.size()) + "): " + path);
 
   store.events.reserve(table.rows.size());
   for (const std::vector<double>& row : table.rows) {

@@ -199,9 +199,9 @@ Counters Profiler::read_counters(Track& track) {
   return c;
 }
 
-Profiler::SpanToken Profiler::begin(unsigned track_id, const char* name,
-                                    Stage stage, std::uint32_t bs,
-                                    std::uint32_t index) {
+Profiler::SpanToken Profiler::begin(unsigned track_id, TimePoint ts,
+                                    const char* name, Stage stage,
+                                    std::uint32_t bs, std::uint32_t index) {
   Track& t = *tracks_[track_id];
   if (t.depth >= kMaxSpanDepth) {
     ++t.overflow;
@@ -213,15 +213,15 @@ Profiler::SpanToken Profiler::begin(unsigned track_id, const char* name,
   s.stage = stage;
   s.bs = bs;
   s.index = index;
-  s.ts = now();
+  s.ts = ts;
   s.at_begin = read_counters(t);
   const SpanToken token{t.depth, true};
   ++t.depth;
   return token;
 }
 
-void Profiler::end(unsigned track_id, SpanToken token, std::uint32_t a,
-                   std::uint32_t b) {
+void Profiler::end(unsigned track_id, SpanToken token, TimePoint ts,
+                   std::uint32_t a, std::uint32_t b) {
   Track& t = *tracks_[track_id];
   if (!token.live) {
     // The matching begin() overflowed; unwind its overflow marker.
@@ -243,7 +243,7 @@ void Profiler::end(unsigned track_id, SpanToken token, std::uint32_t a,
   }
   ProfileSample sample;
   sample.ts_begin = s.ts;
-  sample.ts_end = now();
+  sample.ts_end = ts;
   sample.delta = read_counters(t) - s.at_begin;
   for (std::uint8_t d = 0; d <= t.depth && d < kMaxSpanDepth; ++d)
     sample.frames[d] = t.stack[d].name;

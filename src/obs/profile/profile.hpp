@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_utils.hpp"
 #include "common/time_types.hpp"
 #include "obs/trace_event.hpp"
 
@@ -136,8 +137,6 @@ inline std::uint32_t pack_decode_load(unsigned code_blocks,
 
 class Profiler {
  public:
-  using ClockFn = std::function<TimePoint()>;
-
   /// Resolves kAuto by probing perf_event_open on the calling thread. The
   /// per-track counter groups are opened lazily by each track's owner on
   /// its first begin(); a track whose open fails (perf revoked mid-run)
@@ -152,9 +151,6 @@ class Profiler {
   /// The backend spans actually sample with (never kAuto).
   Backend backend() const { return backend_; }
 
-  void set_clock(ClockFn clock) { clock_ = std::move(clock); }
-  TimePoint now() const { return clock_ ? clock_() : 0; }
-
   /// Opaque span token; pass the value begin() returned to the matching
   /// end() on the same track/thread.
   struct SpanToken {
@@ -162,15 +158,17 @@ class Profiler {
     bool live = false;
   };
 
-  /// Opens a span on `track` (owner thread only). `name` must be a string
-  /// literal or otherwise outlive the profiler.
-  SpanToken begin(unsigned track, const char* name,
+  /// Opens a span on `track` (owner thread only) at the caller's instant
+  /// `ts`: the profiler reads no clock of its own, so a span can share its
+  /// timestamps with the trace events of the same edge. `name` must be a
+  /// string literal or otherwise outlive the profiler.
+  SpanToken begin(unsigned track, TimePoint ts, const char* name,
                   Stage stage = Stage::kNone, std::uint32_t bs = 0,
                   std::uint32_t index = 0);
 
-  /// Closes the span `token` opened on `track`, recording the counter
-  /// delta. `a`/`b` are stored on the sample verbatim.
-  void end(unsigned track, SpanToken token, std::uint32_t a = 0,
+  /// Closes the span `token` opened on `track` at instant `ts`, recording
+  /// the counter delta. `a`/`b` are stored on the sample verbatim.
+  void end(unsigned track, SpanToken token, TimePoint ts, std::uint32_t a = 0,
            std::uint32_t b = 0);
 
   /// Spans dropped (full slab or depth overflow) on one track / overall.
@@ -190,18 +188,19 @@ class Profiler {
   std::vector<std::unique_ptr<Track>> tracks_;
   ProfileConfig config_;
   Backend backend_ = Backend::kSoftware;
-  ClockFn clock_;
 };
 
-/// RAII convenience over Profiler::begin/end for bench and example code
-/// (the runtime calls begin/end explicitly across its stage sections).
+/// RAII convenience over Profiler::begin/end for bench, example and test
+/// code, stamping both ends with the process monotonic clock. (The runtime
+/// stamps its spans through runtime::StageScope instead.)
 class ProfileSpan {
  public:
   ProfileSpan(Profiler* profiler, unsigned track, const char* name,
               Stage stage = Stage::kNone, std::uint32_t bs = 0,
               std::uint32_t index = 0)
       : profiler_(profiler), track_(track) {
-    if (profiler_) token_ = profiler_->begin(track, name, stage, bs, index);
+    if (profiler_)
+      token_ = profiler_->begin(track, monotonic_ns(), name, stage, bs, index);
   }
   ~ProfileSpan() { close(); }
 
@@ -214,7 +213,8 @@ class ProfileSpan {
   }
   /// Ends the span early (the destructor becomes a no-op).
   void close() {
-    if (profiler_ && token_.live) profiler_->end(track_, token_, a_, b_);
+    if (profiler_ && token_.live)
+      profiler_->end(track_, token_, monotonic_ns(), a_, b_);
     token_.live = false;
   }
 

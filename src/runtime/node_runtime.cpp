@@ -25,6 +25,7 @@
 #include "runtime/cpu_state_table.hpp"
 #include "runtime/fault_injection.hpp"
 #include "runtime/mailbox.hpp"
+#include "runtime/stage_scope.hpp"
 #include "runtime/workspace_pool.hpp"
 #include "sched/migration.hpp"
 
@@ -71,6 +72,55 @@ struct WorkerState {
   /// merely be slow and still finish its subtask.
   std::atomic<bool> parked{false};
 };
+
+/// The series the mid-run snapshot and the post-run registry both carry:
+/// the counters readable while workers run, then the trace-loss counters
+/// of `trace` (null when the run has no tracer).
+void fill_live_series(const RuntimeReport& report,
+                      const obs::TraceStore* trace,
+                      obs::MetricsRegistry& registry) {
+  registry.add_counter("rtopex_runtime_migrations_total",
+                       "Subtasks executed on a remote core.",
+                       static_cast<double>(report.migrations));
+  registry.add_counter("rtopex_runtime_recoveries_total",
+                       "Migrated subtasks re-executed locally.",
+                       static_cast<double>(report.recoveries));
+  registry.add_counter("rtopex_runtime_batched_subframes_total",
+                       "Subframes decoded in a cross-subframe batch.",
+                       static_cast<double>(report.batched_subframes));
+  const ResilienceMetrics& res = report.resilience;
+  registry.add_counter("rtopex_runtime_failovers_total",
+                       "Workers declared dead by the watchdog.",
+                       static_cast<double>(res.failovers));
+  registry.add_counter("rtopex_runtime_repartitions_total",
+                       "Partition-table rebuilds after a failover.",
+                       static_cast<double>(res.repartitions));
+  registry.add_counter("rtopex_runtime_requeued_jobs_total",
+                       "Jobs requeued from a dead worker's queue.",
+                       static_cast<double>(res.requeued_jobs));
+  registry.add_counter("rtopex_runtime_flag_timeouts_total",
+                       "Completion-flag waits that expired.",
+                       static_cast<double>(res.flag_timeouts));
+  registry.add_counter("rtopex_runtime_lost_subframes_total",
+                       "Subframes the fronthaul never delivered.",
+                       static_cast<double>(res.lost_subframes));
+  if (!trace) return;
+  registry.add_counter("rtopex_trace_ring_drops_total",
+                       "Trace events dropped on full per-core rings.",
+                       static_cast<double>(trace->ring_drops));
+  for (std::size_t t = 0; t < trace->ring_drops_per_track.size(); ++t)
+    registry.add_counter(
+        "rtopex_trace_ring_dropped_total",
+        "Trace events dropped on one core's full ring.",
+        static_cast<double>(trace->ring_drops_per_track[t]),
+        {{"core", std::to_string(t)}});
+  registry.add_counter("rtopex_trace_store_drops_total",
+                       "Trace events refused by the bounded store.",
+                       static_cast<double>(trace->store_drops));
+  registry.add_counter("rtopex_trace_collected_events_total",
+                       "Trace events drained into the bounded store.",
+                       static_cast<double>(trace->events.size()));
+}
 
 }  // namespace
 
@@ -206,11 +256,9 @@ struct NodeRuntime::Impl {
                                              cfg.trace.max_stored_events);
       tracer->set_clock([this] { return clock.now(); });
     }
-    if (cfg.profile.enabled) {
+    if (cfg.profile.enabled)
       profiler = std::make_unique<obs::profile::Profiler>(
           worker_count(cfg) + 1, cfg.profile);
-      profiler->set_clock([this] { return clock.now(); });
-    }
     if (cfg.health.enabled) {
       obs::health::Topology topo;
       topo.num_nodes = 1;
@@ -531,118 +579,101 @@ struct NodeRuntime::Impl {
   }
 
   /// Carry-over between the pre-decode and post-decode halves of one
-  /// subframe, split so throughput mode can fuse the decode stage of
-  /// several drained subframes into one cross-subframe SoA batch between
-  /// the halves.
+  /// subframe, split so a pass can decode the admitted subframes of several
+  /// drained jobs together between the halves.
   struct JobProgress {
     SubframeRecord rec;
-    obs::profile::Profiler::SpanToken sf_span;
-    obs::profile::Profiler::SpanToken dec_span;
+    StageScope scope;
     std::size_t fft_n = 0;
-    std::size_t dec_n = 0;
+    std::size_t dec_n = 0;  ///< estimated until decode_prepare counts them.
     Duration dec_sub_est = 0;
-    TimePoint t2 = 0;  ///< decode-stage start (right after demod).
   };
 
-  // `job` and `rx_result` are the calling worker's reusable buffers; all
-  // kernel scratch lives in per-thread phy::DecodeWorkspace instances (the
-  // stage methods route through UplinkRxProcessor::thread_workspace()), so
-  // a host thread executing migrated subtasks of this job brings its own
-  // workspace and a steady-state subframe allocates nothing anywhere.
-  SubframeRecord process_job(unsigned self_id, phy::UplinkRxJob& job,
-                             phy::UplinkRxResult& rx_result, const Job& j,
-                             bool migrate) {
-    return process_job_single(self_id, job, rx_result, j, migrate,
-                              phy::UplinkRxProcessor::thread_workspace());
-  }
-
-  /// One subframe end to end through an explicit workspace (the worker's
-  /// pool workspace in throughput mode, its thread-local one otherwise).
-  SubframeRecord process_job_single(unsigned self_id, phy::UplinkRxJob& job,
-                                    phy::UplinkRxResult& rx_result,
-                                    const Job& j, bool migrate,
-                                    phy::DecodeWorkspace& ws) {
-    JobProgress p;
-    if (!process_job_front(self_id, job, j, migrate, ws, p)) return p.rec;
-    if (migrate && p.dec_n > 1) {
-      run_stage_migrating(self_id, job, j, p.dec_n, p.dec_sub_est,
-                          /*is_fft=*/false, p.rec.timing);
-    } else if (config.throughput.batch > 1) {
-      // Throughput mode, shallow queue: every code block through the SoA
-      // decoder in one pass (bit-identical to the per-subtask loop — the
-      // kernel differential tests assert it).
-      rx->run_decode_batch(job, ws);
-    } else {
-      // Default latency-oriented runtime: per-block subtasks, the
-      // granularity the slack estimates, profiler spans and migration
-      // machinery are built around.
-      const std::size_t dec_n = rx->decode_subtask_count(job);
-      for (std::size_t s = 0; s < dec_n; ++s)
-        rx->run_decode_subtask(job, s, ws);
-    }
-    return process_job_back(self_id, job, rx_result, j, ws, p,
-                            /*decode_attr=*/-1);
-  }
-
-  /// Throughput mode: `drained.size()` subframes as one worker pass — each
-  /// runs FFT/demod in arrival order, then every admitted subframe's code
-  /// blocks decode in a single cross-subframe SoA batch, so blocks from
-  /// different basestations fill out lanes one subframe would leave empty.
-  /// The fused decode window is attributed to the records proportionally
-  /// to code-block count; finalize runs per subframe after the batch, so
-  /// each record's completion time is honest.
-  void process_job_batch(unsigned self_id,
-                         std::span<phy::UplinkRxJob> job_bufs,
-                         phy::UplinkRxResult& rx_result,
-                         std::span<const Job> drained,
-                         phy::DecodeWorkspace& ws,
-                         std::vector<SubframeRecord>& out) {
+  /// One worker pass over the 1..batch jobs `drained` (job_bufs[i] holds
+  /// drained[i]'s buffers; `ws` serves the non-migrating stages). Each job
+  /// runs its front half in arrival order; then every admitted one decodes:
+  /// through the migrating decode for an RT-OPEX subframe of more than one
+  /// code block, in one cross-subframe SoA batch when throughput batching is
+  /// on (bit-identical to the per-subtask loop — the kernel differential
+  /// tests assert it; blocks from different basestations fill out lanes one
+  /// subframe would leave empty), or block by block otherwise, the
+  /// granularity the slack estimates and migration are built around.
+  /// A pass of two or more jobs is fused: its decode window is profiled as
+  /// one root span (no subframe's span stays open across another's) and
+  /// attributed to the records in proportion to their code blocks, while
+  /// each record's completion stays its own finalize.
+  void process_pass(unsigned self_id, std::span<phy::UplinkRxJob> job_bufs,
+                    phy::UplinkRxResult& rx_result,
+                    std::span<const Job> drained, bool migrate,
+                    phy::DecodeWorkspace& ws,
+                    std::vector<SubframeRecord>& out) {
+    const bool fused = drained.size() > 1;
     std::array<JobProgress, kMaxBatch> prog;
     std::array<phy::UplinkRxJob*, kMaxBatch> ready{};
     std::array<std::size_t, kMaxBatch> ready_idx{};
     std::size_t n_ready = 0;
     std::size_t total_blocks = 0;
     for (std::size_t i = 0; i < drained.size(); ++i) {
-      if (process_job_front(self_id, job_bufs[i], drained[i],
-                            /*migrate=*/false, ws, prog[i])) {
-        ready[n_ready] = &job_bufs[i];
-        ready_idx[n_ready] = i;
-        ++n_ready;
-        total_blocks += prog[i].dec_n;
-      } else {
-        out.push_back(prog[i].rec);  // late or dropped: already complete
+      if (!process_job_front(self_id, job_bufs[i], drained[i], migrate, fused,
+                             ws, prog[i])) {
+        out.push_back(finish(self_id, drained[i], prog[i]));
+        continue;
       }
+      ready[n_ready] = &job_bufs[i];
+      ready_idx[n_ready] = i;
+      ++n_ready;
+      total_blocks += prog[i].dec_n;
     }
     if (n_ready == 0) return;
-    const TimePoint b0 = clock.now();
-    rx->run_decode_batch(
-        std::span<phy::UplinkRxJob* const>(ready.data(), n_ready), ws);
-    const Duration window = clock.now() - b0;
+
+    // A fused pass times its decode window as one root "decode" span. Its
+    // trace events stay per subframe (each decode kStageBegin/kStageEnd
+    // brackets that subframe's own wait and finalize), so the window scope
+    // has no tracer.
+    JobProgress& head = prog[ready_idx[0]];
+    const Job& head_job = drained[ready_idx[0]];
+    StageScope window(clock, /*tracer=*/nullptr, prof(), self_id, head_job.bs,
+                      head_job.index);
+    if (fused) window.edge(obs::Stage::kDecode);
+    if (migrate && head.dec_n > 1) {  // RT-OPEX passes hold one job
+      run_stage_migrating(self_id, *ready[0], head_job, head.dec_n,
+                          head.dec_sub_est, /*is_fft=*/false,
+                          head.rec.timing);
+    } else if (config.throughput.batch > 1) {
+      rx->run_decode_batch(
+          std::span<phy::UplinkRxJob* const>(ready.data(), n_ready), ws);
+    } else {
+      for (std::size_t s = 0; s < head.dec_n; ++s)
+        rx->run_decode_subtask(*ready[0], s, ws);
+    }
+    const Duration window_ns = fused ? window.edge() : 0;
     if (n_ready > 1)
       batched_subframes.fetch_add(n_ready, std::memory_order_relaxed);
+
     for (std::size_t k = 0; k < n_ready; ++k) {
       JobProgress& p = prog[ready_idx[k]];
-      const Duration attr =
-          total_blocks > 0
-              ? window * static_cast<Duration>(p.dec_n) /
-                    static_cast<Duration>(total_blocks)
-              : window;
-      out.push_back(process_job_back(self_id, *ready[k], rx_result,
-                                     drained[ready_idx[k]], ws, p, attr));
+      Duration attr = -1;
+      if (fused)
+        attr = total_blocks > 0 ? window_ns * static_cast<Duration>(p.dec_n) /
+                                      static_cast<Duration>(total_blocks)
+                                : window_ns;
+      process_job_back(*ready[k], rx_result, drained[ready_idx[k]], ws, p,
+                       attr);
+      out.push_back(finish(self_id, drained[ready_idx[k]], p));
     }
   }
 
   /// Pre-decode half: arrival wait, classification, slack check, FFT and
-  /// demod stages, decode_prepare and the decode StageBegin trace. Returns
-  /// true when the subframe reached the decode stage; false when it
-  /// finished early (late arrival or slack drop) — p.rec is complete then.
-  /// Non-migrating stages run out of `ws`.
+  /// demod stages and decode_prepare. Returns true when the subframe reached
+  /// the decode stage; false when it ended early (late arrival or slack
+  /// drop) — p.rec is complete then. Non-migrating stages run out of `ws`.
   bool process_job_front(unsigned self_id, phy::UplinkRxJob& job, const Job& j,
-                         bool migrate, phy::DecodeWorkspace& ws,
+                         bool migrate, bool fused, phy::DecodeWorkspace& ws,
                          JobProgress& p) {
     p = JobProgress{};
+    p.scope = StageScope(clock, trc(), prof(), self_id, j.bs, j.index);
     SubframeRecord& rec = p.rec;
-    obs::profile::Profiler::SpanToken& sf_span = p.sf_span;
+    StageScope& scope = p.scope;
     rec.bs = j.bs;
     rec.index = j.index;
     rec.mcs = j.variant->mcs;
@@ -654,42 +685,31 @@ struct NodeRuntime::Impl {
     // is a late arrival either way).
     while (clock.now() < j.arrival && clock.now() <= j.deadline)
       std::this_thread::sleep_for(std::chrono::microseconds(50));
-    rec.start = clock.now();
     table.set(self_id, CoreActivity::kActive, 0);
     RTOPEX_TRACE_EVENT(trc(), .ts = j.arrival, .bs = j.bs, .index = j.index,
                        .a = obs::clamp_payload_ns(j.deadline - j.arrival),
                        .b = obs::clamp_payload_ns(j.arrival - j.radio_time),
                        .core = self_id, .kind = obs::EventKind::kArrival);
-    RTOPEX_TRACE_EVENT(trc(), .ts = rec.start, .bs = j.bs, .index = j.index,
-                       .core = self_id,
-                       .kind = obs::EventKind::kSubframeBegin);
-    obs::profile::Profiler* const pr = prof();
-    if (pr)
-      sf_span = pr->begin(self_id, "subframe", obs::Stage::kNone, j.bs,
-                          j.index);
+    rec.start = scope.open(fused);
 
     const std::size_t fft_n = rx->fft_subtask_count();
     p.fft_n = fft_n;
-    const std::size_t dec_n_est = phy::num_code_blocks(
-        j.variant->mcs, config.phy.num_prb());
+    p.dec_n = phy::num_code_blocks(j.variant->mcs, config.phy.num_prb());
 
     // A subframe that arrived after its deadline had already passed (a late
     // fronthaul delivery) is classified and skipped regardless of
     // enforce_deadlines — there is no decision to make, the deadline is
     // gone, and decoding it would only stall the queue behind it.
     if (j.arrival > j.deadline) {
-      rec.completion = clock.now();
+      scope.edge();
+      rec.completion = scope.at();
       rec.deadline_missed = true;
       rec.late_arrival = true;
-      RTOPEX_TRACE_NOW(trc(), .bs = j.bs, .index = j.index,
-                       .a = obs::clamp_payload_ns(j.arrival - j.deadline),
-                       .b = obs::clamp_payload_ns(j.arrival - j.radio_time),
-                       .core = self_id, .kind = obs::EventKind::kLate);
       RTOPEX_TRACE_EVENT(trc(), .ts = rec.completion, .bs = j.bs,
-                         .index = j.index, .a = 1, .core = self_id,
-                         .kind = obs::EventKind::kSubframeEnd);
-      emit_job_spec(self_id, j, j.variant->mcs, rec, fft_n, dec_n_est);
-      if (pr) pr->end(self_id, sf_span);
+                         .index = j.index,
+                         .a = obs::clamp_payload_ns(j.arrival - j.deadline),
+                         .b = obs::clamp_payload_ns(j.arrival - j.radio_time),
+                         .core = self_id, .kind = obs::EventKind::kLate);
       return false;
     }
 
@@ -711,7 +731,7 @@ struct NodeRuntime::Impl {
     const unsigned mcs = j.variant->mcs;
     Duration fft_sub = fft_subtask_est_ns.load();
     const Duration full_ewma =
-        decode_subtask_est_ns.load() * static_cast<Duration>(dec_n_est);
+        decode_subtask_est_ns.load() * static_cast<Duration>(p.dec_n);
     Duration full = full_ewma;
     sched::DecodeLine line{full_ewma / static_cast<Duration>(lm), full_ewma};
     unsigned assumed = lm;
@@ -733,117 +753,75 @@ struct NodeRuntime::Impl {
                                  : std::numeric_limits<TimePoint>::max(),
         full, line, assumed, lm, config.resilience.degrade);
     if (adm.cap == 0) {
-      rec.completion = clock.now();
+      scope.edge();
+      rec.completion = scope.at();
       rec.deadline_missed = true;
       rec.dropped = true;
-      RTOPEX_TRACE_NOW(trc(), .bs = j.bs, .index = j.index, .core = self_id,
-                       .kind = obs::EventKind::kDrop);
       RTOPEX_TRACE_EVENT(trc(), .ts = rec.completion, .bs = j.bs,
-                         .index = j.index, .a = 1, .core = self_id,
-                         .kind = obs::EventKind::kSubframeEnd);
-      emit_job_spec(self_id, j, mcs, rec, fft_n, dec_n_est);
-      if (pr) pr->end(self_id, sf_span);
+                         .index = j.index, .core = self_id,
+                         .kind = obs::EventKind::kDrop);
       return false;
     }
+
+    scope.edge(obs::Stage::kFft,
+               obs::clamp_payload_ns(fft_sub * static_cast<Duration>(fft_n)));
     if (adm.level != DegradeLevel::kNone) {
       job.iteration_cap = adm.cap;
       rec.degrade = adm.level;
-      RTOPEX_TRACE_NOW(trc(), .bs = j.bs, .index = j.index, .a = adm.cap,
-                       .core = self_id, .kind = obs::EventKind::kDegrade,
-                       .stage = obs::Stage::kDecode);
+      RTOPEX_TRACE_EVENT(trc(), .ts = scope.at(), .bs = j.bs, .index = j.index,
+                         .a = adm.cap, .core = self_id,
+                         .kind = obs::EventKind::kDegrade,
+                         .stage = obs::Stage::kDecode);
     }
-
-    // --- FFT ---
-    TimePoint t0 = clock.now();
-    RTOPEX_TRACE_EVENT(trc(), .ts = t0, .bs = j.bs, .index = j.index,
-                       .a = obs::clamp_payload_ns(
-                           fft_sub * static_cast<Duration>(fft_n)),
-                       .core = self_id, .kind = obs::EventKind::kStageBegin,
-                       .stage = obs::Stage::kFft);
-    obs::profile::Profiler::SpanToken fft_span;
-    if (pr)
-      fft_span = pr->begin(self_id, "fft", obs::Stage::kFft, j.bs, j.index);
     if (migrate) {
       run_stage_migrating(self_id, job, j, fft_n, fft_sub,
                           /*is_fft=*/true, rec.timing);
     } else {
       for (std::size_t i = 0; i < fft_n; ++i) rx->run_fft_subtask(job, i, ws);
     }
-    if (pr) pr->end(self_id, fft_span, static_cast<std::uint32_t>(fft_n), 0);
-    TimePoint t1 = clock.now();
-    rec.timing.fft = t1 - t0;
-    RTOPEX_TRACE_EVENT(trc(), .ts = t1, .bs = j.bs, .index = j.index,
-                       .core = self_id, .kind = obs::EventKind::kStageEnd,
-                       .stage = obs::Stage::kFft);
+    scope.set_payload(static_cast<std::uint32_t>(fft_n), 0);
+    rec.timing.fft = scope.edge(
+        obs::Stage::kDemod, obs::clamp_payload_ns(demod_est_ns.load()));
     update_estimate(fft_subtask_est_ns,
                     rec.timing.fft / static_cast<Duration>(fft_n));
 
-    // --- Demod ---
-    obs::profile::Profiler::SpanToken demod_span;
-    if (pr)
-      demod_span =
-          pr->begin(self_id, "demod", obs::Stage::kDemod, j.bs, j.index);
     rx->demod_prepare(job);
     for (std::size_t i = 0; i < rx->demod_subtask_count(); ++i)
       rx->run_demod_subtask(job, i);
-    if (pr) pr->end(self_id, demod_span);
-    TimePoint t2 = clock.now();
-    rec.timing.demod = t2 - t1;
-    RTOPEX_TRACE_EVENT(trc(), .ts = t1, .bs = j.bs, .index = j.index,
-                       .a = obs::clamp_payload_ns(demod_est_ns.load()),
-                       .core = self_id, .kind = obs::EventKind::kStageBegin,
-                       .stage = obs::Stage::kDemod);
-    RTOPEX_TRACE_EVENT(trc(), .ts = t2, .bs = j.bs, .index = j.index,
-                       .core = self_id, .kind = obs::EventKind::kStageEnd,
-                       .stage = obs::Stage::kDemod);
+    // The decode opens under the estimate the slack check admitted it at.
+    rec.timing.demod =
+        scope.edge(obs::Stage::kDecode, obs::clamp_payload_ns(adm.estimate),
+                   adm.iterations);
     update_estimate(demod_est_ns, rec.timing.demod);
 
-    // --- Decode prelude (the stage itself runs in the caller) ---
-    if (pr)
-      p.dec_span =
-          pr->begin(self_id, "decode", obs::Stage::kDecode, j.bs, j.index);
+    // The decode stage itself runs in the pass.
     rx->decode_prepare(job, ws);
-    const std::size_t dec_n = rx->decode_subtask_count(job);
-    p.dec_n = dec_n;
-    // The decode span opens under the estimate the slack check admitted it
-    // at; migration chunks are sized with the learned per-subtask time
+    p.dec_n = rx->decode_subtask_count(job);
+    // Migration chunks are sized with the learned per-subtask time
     // (adaptive) or the global EWMA.
-    RTOPEX_TRACE_NOW(trc(), .bs = j.bs, .index = j.index,
-                     .a = obs::clamp_payload_ns(adm.estimate),
-                     .b = adm.iterations, .core = self_id,
-                     .kind = obs::EventKind::kStageBegin,
-                     .stage = obs::Stage::kDecode);
     p.dec_sub_est = adaptive_decode_subtask(decode_subtask_est_ns.load());
-    p.t2 = t2;
     return true;
   }
 
-  /// Post-decode half: finalize, decode timing, estimate updates, closing
-  /// traces. `decode_attr` < 0 measures the stage as (now - p.t2), exactly
-  /// the original single-subframe timing; >= 0 substitutes the caller's
-  /// attribution (throughput mode: this subframe's share of the fused
-  /// batch decode window — its own decode_prepare and finalize tails stay
-  /// outside the attributed figure).
-  SubframeRecord process_job_back(unsigned self_id, phy::UplinkRxJob& job,
-                                  phy::UplinkRxResult& rx_result,
-                                  const Job& j, phy::DecodeWorkspace& ws,
-                                  JobProgress& p, Duration decode_attr) {
+  /// Post-decode half: finalize, the decode's end edge, decode timing and
+  /// estimate updates. `decode_attr` < 0 takes the decode width from the
+  /// scope (decode_prepare through finalize); >= 0 substitutes the pass's
+  /// attribution (a fused pass: this subframe's share of the decode window —
+  /// its own decode_prepare and finalize tails stay outside the figure).
+  void process_job_back(phy::UplinkRxJob& job, phy::UplinkRxResult& rx_result,
+                        const Job& j, phy::DecodeWorkspace& ws,
+                        JobProgress& p, Duration decode_attr) {
     SubframeRecord& rec = p.rec;
-    obs::profile::Profiler* const pr = prof();
     const std::size_t dec_n = p.dec_n;
     rx->finalize_into(job, ws, rx_result);
-    if (pr)
-      pr->end(self_id, p.dec_span,
-              obs::profile::pack_decode_regressors(
-                  phy::modulation_order(j.variant->mcs),
-                  config.phy.num_antennas, j.variant->mcs),
-              obs::profile::pack_decode_load(static_cast<unsigned>(dec_n),
-                                             rx_result.iterations));
-    TimePoint t3 = clock.now();
-    rec.timing.decode = decode_attr >= 0 ? decode_attr : t3 - p.t2;
-    RTOPEX_TRACE_EVENT(trc(), .ts = t3, .bs = j.bs, .index = j.index,
-                       .core = self_id, .kind = obs::EventKind::kStageEnd,
-                       .stage = obs::Stage::kDecode);
+    p.scope.set_payload(
+        obs::profile::pack_decode_regressors(
+            phy::modulation_order(j.variant->mcs), config.phy.num_antennas,
+            j.variant->mcs),
+        obs::profile::pack_decode_load(static_cast<unsigned>(dec_n),
+                                       rx_result.iterations));
+    const Duration measured = p.scope.edge();
+    rec.timing.decode = decode_attr >= 0 ? decode_attr : measured;
     // A capped decode is cheaper than a full-quality one; feeding it into
     // the EWMA would bias the full-quality estimate downward and admit
     // subframes that then miss.
@@ -851,7 +829,7 @@ struct NodeRuntime::Impl {
       update_estimate(decode_subtask_est_ns,
                       rec.timing.decode / static_cast<Duration>(dec_n));
 
-    rec.completion = t3;
+    rec.completion = p.scope.at();
     rec.crc_ok = rx_result.crc_ok;
     rec.iterations = rx_result.iterations;
     rec.deadline_missed = rec.completion > j.deadline;
@@ -863,13 +841,15 @@ struct NodeRuntime::Impl {
           j.bs, j.variant->mcs, rec.iterations, rec.timing.decode,
           rec.timing.decode / static_cast<Duration>(dec_n));
     }
-    RTOPEX_TRACE_EVENT(trc(), .ts = rec.completion, .bs = j.bs,
-                       .index = j.index, .a = rec.deadline_missed ? 1u : 0u,
-                       .b = rec.iterations, .core = self_id,
-                       .kind = obs::EventKind::kSubframeEnd);
-    emit_job_spec(self_id, j, j.variant->mcs, rec, p.fft_n, dec_n);
-    if (pr) pr->end(self_id, p.sf_span);
-    return rec;
+  }
+
+  /// The one epilogue of every subframe — late, dropped or decoded:
+  /// kSubframeEnd and its span's end at the subframe's last edge, then the
+  /// workload capture.
+  SubframeRecord finish(unsigned self_id, const Job& j, JobProgress& p) {
+    p.scope.close(p.rec.deadline_missed, p.rec.iterations);
+    emit_job_spec(self_id, j, j.variant->mcs, p.rec, p.fft_n, p.dec_n);
+    return p.rec;
   }
 
   /// Kill switch (fault injection): a worker that reads true parks for the
@@ -943,13 +923,8 @@ struct NodeRuntime::Impl {
         }
       }
       self.heartbeat.fetch_add(drained.size(), std::memory_order_relaxed);
-      if (drained.size() == 1) {
-        self.records.push_back(process_job_single(
-            id, job_bufs[0], rx_result, drained[0], /*migrate=*/false, ws));
-      } else {
-        process_job_batch(id, job_bufs, rx_result, drained, ws,
-                          self.records);
-      }
+      process_pass(id, job_bufs, rx_result, drained, /*migrate=*/false, ws,
+                   self.records);
       if (!global)
         self.pending.fetch_sub(static_cast<int>(drained.size()),
                                std::memory_order_acq_rel);
@@ -964,6 +939,7 @@ struct NodeRuntime::Impl {
     WorkerState& self = *workers[id];
     phy::UplinkRxJob job = rx->make_job();
     phy::UplinkRxResult rx_result;
+    phy::DecodeWorkspace& ws = phy::UplinkRxProcessor::thread_workspace();
     workers_ready.fetch_add(1, std::memory_order_release);
     for (;;) {
       if (should_die(id)) return park(id);
@@ -984,8 +960,8 @@ struct NodeRuntime::Impl {
         }
         if (got) {
           self.pending.fetch_sub(1, std::memory_order_acq_rel);
-          self.records.push_back(
-              process_job(id, job, rx_result, j, /*migrate=*/true));
+          process_pass(id, {&job, 1}, rx_result, {&j, 1}, /*migrate=*/true, ws,
+                       self.records);
         }
         continue;
       }
@@ -1003,18 +979,8 @@ struct NodeRuntime::Impl {
       MigratedChunk chunk;
       if (self.mailbox.try_take(chunk)) {
         table.set(id, CoreActivity::kHosting, 0);
-        RTOPEX_TRACE_NOW(trc(), .bs = chunk.bs, .index = chunk.index,
-                         .a = chunk.src_core, .core = id,
-                         .kind = obs::EventKind::kHostBegin,
-                         .stage = chunk.stage);
-        obs::profile::Profiler* const pr = prof();
-        obs::profile::Profiler::SpanToken host_span, host_stage_span;
-        if (pr) {
-          host_span = pr->begin(id, "host", obs::Stage::kNone, chunk.bs,
-                                chunk.index);
-          host_stage_span = pr->begin(id, obs::to_string(chunk.stage),
-                                      chunk.stage, chunk.bs, chunk.index);
-        }
+        StageScope scope(clock, trc(), prof(), id, chunk.bs, chunk.index);
+        scope.open_host(chunk.src_core, chunk.stage);
         std::uint32_t served = 0;
         for (;;) {
           // Preemption and kill checks between subtasks — a killed host
@@ -1038,16 +1004,7 @@ struct NodeRuntime::Impl {
           self.heartbeat.fetch_add(1, std::memory_order_relaxed);
           ++served;
         }
-        if (pr) {
-          // No payload on the stage child: a/b on decode-stage spans are
-          // reserved for the packed Eq. (1) regressors the fit consumes.
-          pr->end(id, host_stage_span);
-          pr->end(id, host_span, chunk.src_core, served);
-        }
-        RTOPEX_TRACE_NOW(trc(), .bs = chunk.bs, .index = chunk.index,
-                         .a = chunk.src_core, .b = served, .core = id,
-                         .kind = obs::EventKind::kHostEnd,
-                         .stage = chunk.stage);
+        scope.close_host(chunk.src_core, chunk.stage, served);
         self.mailbox.release();
         continue;
       }
@@ -1189,52 +1146,32 @@ struct NodeRuntime::Impl {
     health->advance(clock.now());
   }
 
-  /// Mid-run Prometheus snapshot built only from state the ticker may read
-  /// without locks: atomics and ticker-owned counters. Per-subframe latency
+  /// The report counters the ticker may read while workers run: atomics
+  /// and its own state.
+  void fill_counters(RuntimeReport& report) const {
+    report.migrations = migrations.load();
+    report.recoveries = recoveries.load();
+    report.batched_subframes = batched_subframes.load();
+    ResilienceMetrics& res = report.resilience;
+    res.failovers = res_failovers;
+    res.repartitions = res_repartitions;
+    res.requeued_jobs = res_requeued;
+    res.flag_timeouts = flag_timeouts.load();
+    res.lost_subframes = lost_records.size();
+  }
+
+  /// Mid-run Prometheus snapshot: the series fill_registry() shares with
+  /// it, over the live counters and the ticker-owned trace store. Latency
   /// histograms need the worker-private records and appear only in the
-  /// post-run fill_registry() snapshot.
+  /// post-run snapshot.
   std::string render_live_metrics() {
     obs::MetricsRegistry reg;
     reg.add_gauge("rtopex_runtime_uptime_seconds",
                   "Wall-clock run time so far.",
                   static_cast<double>(clock.now()) / 1e9);
-    reg.add_counter("rtopex_runtime_migrations_total",
-                    "Subtasks executed on a remote core.",
-                    static_cast<double>(migrations.load()));
-    reg.add_counter("rtopex_runtime_recoveries_total",
-                    "Migrated subtasks re-executed locally.",
-                    static_cast<double>(recoveries.load()));
-    reg.add_counter("rtopex_runtime_flag_timeouts_total",
-                    "Completion-flag waits that expired.",
-                    static_cast<double>(flag_timeouts.load()));
-    reg.add_counter("rtopex_runtime_batched_subframes_total",
-                    "Subframes decoded in a cross-subframe batch.",
-                    static_cast<double>(batched_subframes.load()));
-    reg.add_counter("rtopex_runtime_failovers_total",
-                    "Workers declared dead by the watchdog.",
-                    static_cast<double>(res_failovers));
-    reg.add_counter("rtopex_runtime_repartitions_total",
-                    "Partition-table rebuilds after a failover.",
-                    static_cast<double>(res_repartitions));
-    reg.add_counter("rtopex_runtime_requeued_jobs_total",
-                    "Jobs requeued from a dead worker's queue.",
-                    static_cast<double>(res_requeued));
-    reg.add_counter("rtopex_runtime_lost_subframes_total",
-                    "Subframes the fronthaul never delivered.",
-                    static_cast<double>(lost_records.size()));
-    if (tracer) {
-      reg.add_counter("rtopex_trace_ring_drops_total",
-                      "Trace events dropped on full per-core rings.",
-                      static_cast<double>(tracer->total_ring_drops()));
-      for (unsigned t = 0; t < tracer->num_tracks(); ++t)
-        reg.add_counter("rtopex_trace_ring_dropped_total",
-                        "Trace events dropped on one core's full ring.",
-                        static_cast<double>(tracer->drops(t)),
-                        {{"core", std::to_string(t)}});
-      reg.add_counter("rtopex_trace_collected_events_total",
-                      "Trace events drained into the bounded store.",
-                      static_cast<double>(tracer->store().events.size()));
-    }
+    RuntimeReport live;
+    fill_counters(live);
+    fill_live_series(live, tracer ? &tracer->store() : nullptr, reg);
     if (health) health->fill_registry(reg);
     return reg.render();
   }
@@ -1463,11 +1400,11 @@ RuntimeReport NodeRuntime::run() {
               if (a.radio_time != b.radio_time) return a.radio_time < b.radio_time;
               return a.bs < b.bs;
             });
+  im.fill_counters(report);
   ResilienceMetrics& res = report.resilience;
   for (const auto& r : report.records) {
     if (r.deadline_missed) ++report.deadline_misses;
     if (r.dropped) ++report.dropped;
-    if (r.lost) ++res.lost_subframes;
     if (r.late_arrival) ++res.late_arrivals;
     res.degrade_histogram[static_cast<unsigned>(r.degrade)] +=
         !r.lost && !r.dropped && !r.late_arrival;
@@ -1482,13 +1419,6 @@ RuntimeReport NodeRuntime::run() {
         r.degrade == DegradeLevel::kNone && !r.crc_ok)
       ++report.crc_failures;
   }
-  res.failovers = im.res_failovers;
-  res.repartitions = im.res_repartitions;
-  res.requeued_jobs = im.res_requeued;
-  res.flag_timeouts = im.flag_timeouts.load();
-  report.migrations = im.migrations.load();
-  report.recoveries = im.recoveries.load();
-  report.batched_subframes = im.batched_subframes.load();
   // Workers have joined: one final drain picks up everything they emitted
   // after the ticker's last pass, then the health monitor finishes (its
   // trailing clear events land in the store through one more collect).
@@ -1531,31 +1461,7 @@ void fill_registry(const RuntimeReport& report,
   registry.add_counter("rtopex_runtime_crc_failures_total",
                        "Full-quality decodes that failed CRC.",
                        static_cast<double>(report.crc_failures));
-  registry.add_counter("rtopex_runtime_migrations_total",
-                       "Subtasks executed on a remote core.",
-                       static_cast<double>(report.migrations));
-  registry.add_counter("rtopex_runtime_recoveries_total",
-                       "Migrated subtasks re-executed locally.",
-                       static_cast<double>(report.recoveries));
-  registry.add_counter("rtopex_runtime_batched_subframes_total",
-                       "Subframes decoded in a cross-subframe batch.",
-                       static_cast<double>(report.batched_subframes));
   const ResilienceMetrics& res = report.resilience;
-  registry.add_counter("rtopex_runtime_failovers_total",
-                       "Workers declared dead by the watchdog.",
-                       static_cast<double>(res.failovers));
-  registry.add_counter("rtopex_runtime_repartitions_total",
-                       "Partition-table rebuilds after a failover.",
-                       static_cast<double>(res.repartitions));
-  registry.add_counter("rtopex_runtime_requeued_jobs_total",
-                       "Jobs requeued from a dead worker's queue.",
-                       static_cast<double>(res.requeued_jobs));
-  registry.add_counter("rtopex_runtime_flag_timeouts_total",
-                       "Completion-flag waits that expired.",
-                       static_cast<double>(res.flag_timeouts));
-  registry.add_counter("rtopex_runtime_lost_subframes_total",
-                       "Subframes the fronthaul never delivered.",
-                       static_cast<double>(res.lost_subframes));
   registry.add_counter("rtopex_runtime_late_arrivals_total",
                        "Subframes that arrived after their deadline.",
                        static_cast<double>(res.late_arrivals));
@@ -1566,31 +1472,15 @@ void fill_registry(const RuntimeReport& report,
       "rtopex_runtime_degraded_decode_failures_total",
       "Degraded decodes that failed CRC.",
       static_cast<double>(res.degraded_decode_failures));
-  registry.add_counter("rtopex_trace_ring_drops_total",
-                       "Trace events dropped on full per-core rings.",
-                       static_cast<double>(report.trace.ring_drops));
-  for (std::size_t t = 0; t < report.trace.ring_drops_per_track.size(); ++t)
-    registry.add_counter(
-        "rtopex_trace_ring_dropped_total",
-        "Trace events dropped on one core's full ring.",
-        static_cast<double>(report.trace.ring_drops_per_track[t]),
-        {{"core", std::to_string(t)}});
-  registry.add_counter("rtopex_trace_store_drops_total",
-                       "Trace events refused by the bounded store.",
-                       static_cast<double>(report.trace.store_drops));
-  registry.add_counter("rtopex_trace_collected_events_total",
-                       "Trace events drained into the bounded store.",
-                       static_cast<double>(report.trace.events.size()));
+  fill_live_series(report, &report.trace, registry);
 
   registry.add_histogram("rtopex_runtime_processing_time_us",
                          "Per-subframe processing time (start to completion).",
                          processing_us);
-  const char* stage_names[obs::kNumStages] = {"none", "fft", "demod",
-                                              "decode"};
   for (unsigned s = 1; s < obs::kNumStages; ++s)
-    registry.add_histogram("rtopex_runtime_stage_us",
-                           "Per-stage processing time.", stage_us[s],
-                           {{"stage", stage_names[s]}});
+    registry.add_histogram(
+        "rtopex_runtime_stage_us", "Per-stage processing time.", stage_us[s],
+        {{"stage", obs::to_string(static_cast<obs::Stage>(s))}});
 
   // Health series (present only when the run had health enabled — the
   // snapshot carries its per-node row then).

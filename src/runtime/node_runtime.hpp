@@ -171,12 +171,13 @@ struct RuntimeConfig {
   obs::health::HealthConfig health;
 
   /// Continuous profiling (obs/profile). When enabled, every stage section
-  /// a worker executes — the fft/demod/decode legs of process_job and the
-  /// hosted migration chunks — runs inside a ProfileSpan carrying hardware
+  /// a worker executes — the fft/demod/decode stages of a subframe and the
+  /// hosted migration chunks — runs inside a profile span carrying hardware
   /// counter deltas (perf_event_open when permitted, the portable
-  /// thread-CPU/rusage fallback otherwise). Each worker owns one track
-  /// (SPSC, same contract as the tracer); the drained samples are returned
-  /// in RuntimeReport::profile after the workers have joined.
+  /// thread-CPU/rusage fallback otherwise), stamped at the StageScope edges
+  /// that stamp the trace. Each worker owns one track (SPSC, same contract
+  /// as the tracer); the drained samples are returned in
+  /// RuntimeReport::profile after the workers have joined.
   obs::profile::ProfileConfig profile;
 };
 

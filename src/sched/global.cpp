@@ -86,24 +86,10 @@ sim::SchedulerMetrics GlobalScheduler::run(
 
     const TimePoint start =
         std::max(free_at[core_id], w.arrival) + config_.dispatch_latency;
-    if (used[core_id] && start > free_at[core_id]) {
-      metrics.record_gap(to_us(start - free_at[core_id]),
-                         config_.record_samples);
-      RTOPEX_TRACE_EVENT(tracer, .ts = free_at[core_id], .core = core_id,
-                         .kind = obs::EventKind::kGapBegin);
-      RTOPEX_TRACE_EVENT(tracer, .ts = start, .core = core_id,
-                         .kind = obs::EventKind::kGapEnd);
-    }
+    begin_subframe(w, core_id, start, free_at[core_id], used[core_id],
+                   config_.record_samples, tracer, metrics);
     const Duration penalty =
         last_bs[core_id] == static_cast<int>(w.bs) ? 0 : config_.switch_penalty;
-
-    RTOPEX_TRACE_EVENT(tracer, .ts = w.arrival, .bs = w.bs, .index = w.index,
-                       .a = obs::clamp_payload_ns(w.deadline - w.arrival),
-                       .b = obs::clamp_payload_ns(w.arrival - w.radio_time),
-                       .core = core_id, .kind = obs::EventKind::kArrival);
-    RTOPEX_TRACE_EVENT(tracer, .ts = start, .bs = w.bs, .index = w.index,
-                       .core = core_id,
-                       .kind = obs::EventKind::kSubframeBegin);
     const SerialOutcome o =
         execute_serial(w, start, penalty, config_.admission, config_.degrade,
                        tracer, core_id, adaptive);

@@ -62,21 +62,8 @@ sim::SchedulerMetrics PartitionedScheduler::run(
     const auto& w = active[wi];
     const unsigned core = assign[wi];
     const TimePoint start = std::max(w.arrival, free_at[core]);
-    if (used[core] && start > free_at[core]) {
-      metrics.record_gap(to_us(start - free_at[core]),
-                         config_.record_samples);
-      RTOPEX_TRACE_EVENT(tracer, .ts = free_at[core], .core = core,
-                         .kind = obs::EventKind::kGapBegin);
-      RTOPEX_TRACE_EVENT(tracer, .ts = start, .core = core,
-                         .kind = obs::EventKind::kGapEnd);
-    }
-    RTOPEX_TRACE_EVENT(tracer, .ts = w.arrival, .bs = w.bs, .index = w.index,
-                       .a = obs::clamp_payload_ns(w.deadline - w.arrival),
-                       .b = obs::clamp_payload_ns(w.arrival - w.radio_time),
-                       .core = core, .kind = obs::EventKind::kArrival);
-    RTOPEX_TRACE_EVENT(tracer, .ts = start, .bs = w.bs, .index = w.index,
-                       .core = core,
-                       .kind = obs::EventKind::kSubframeBegin);
+    begin_subframe(w, core, start, free_at[core], used[core],
+                   config_.record_samples, tracer, metrics);
 
     const SerialOutcome o = execute_serial(w, start, 0, config_.admission,
                                            config_.degrade, tracer, core,

@@ -240,22 +240,9 @@ sim::SchedulerMetrics RtOpexScheduler::run(
     ++core.next_own;
 
     const TimePoint start = std::max(w.arrival, core.free_at);
-    if (core.used && start > core.free_at) {
-      metrics.record_gap(to_us(start - core.free_at),
-                         config_.record_samples);
-      RTOPEX_TRACE_EVENT(tracer, .ts = core.free_at, .core = self,
-                         .kind = obs::EventKind::kGapBegin);
-      RTOPEX_TRACE_EVENT(tracer, .ts = start, .core = self,
-                         .kind = obs::EventKind::kGapEnd);
-    }
+    begin_subframe(w, self, start, core.free_at, core.used,
+                   config_.record_samples, tracer, metrics);
     core.used = true;
-    RTOPEX_TRACE_EVENT(tracer, .ts = w.arrival, .bs = w.bs, .index = w.index,
-                       .a = obs::clamp_payload_ns(w.deadline - w.arrival),
-                       .b = obs::clamp_payload_ns(w.arrival - w.radio_time),
-                       .core = self, .kind = obs::EventKind::kArrival);
-    RTOPEX_TRACE_EVENT(tracer, .ts = start, .bs = w.bs, .index = w.index,
-                       .core = self,
-                       .kind = obs::EventKind::kSubframeBegin);
 
     SerialOutcome o;
     TimePoint t = start;
@@ -304,25 +291,9 @@ sim::SchedulerMetrics RtOpexScheduler::run(
     }
 
     // --- Demod stage (serial, deterministic) ---
-    if (!o.miss) {
-      if (t + w.costs.demod > w.deadline) {
-        o.miss = o.dropped = true;
-        o.missed_stage = obs::Stage::kDemod;
-        RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                           .core = self, .kind = obs::EventKind::kDrop,
-                           .stage = obs::Stage::kDemod);
-      } else {
-        RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                           .a = obs::clamp_payload_ns(w.costs.demod),
-                           .core = self, .kind = obs::EventKind::kStageBegin,
-                           .stage = obs::Stage::kDemod);
-        t += w.costs.demod;
-        o.demod_ns = w.costs.demod;
-        RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                           .core = self, .kind = obs::EventKind::kStageEnd,
-                           .stage = obs::Stage::kDemod);
-      }
-    }
+    if (!o.miss)
+      run_fixed_stage(o, obs::Stage::kDemod, w.costs.demod, w, t, tracer,
+                      self);
 
     // --- Decode stage ---
     // Plan the migration first (using the model's WCET subtask time and the

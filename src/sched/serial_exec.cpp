@@ -126,48 +126,14 @@ SerialOutcome execute_serial(const sim::SubframeWork& w, TimePoint start,
                              model::OnlineEstimators* adaptive) {
   SerialOutcome out;
   TimePoint t = start;
-
-  // FFT (deterministic duration -> exact slack check).
-  const Duration fft = w.costs.fft + entry_penalty;
-  if (t + fft > w.deadline) {
-    out.end = t;
-    out.miss = out.dropped = true;
-    out.missed_stage = obs::Stage::kFft;
-    RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                       .core = core, .kind = obs::EventKind::kDrop,
-                       .stage = obs::Stage::kFft);
+  // FFT and demod have deterministic durations: exact slack checks.
+  if (!run_fixed_stage(out, obs::Stage::kFft, w.costs.fft + entry_penalty, w,
+                       t, tracer, core))
     return out;
-  }
-  RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                     .a = obs::clamp_payload_ns(fft), .core = core,
-                     .kind = obs::EventKind::kStageBegin,
-                     .stage = obs::Stage::kFft);
-  t += fft;
-  out.fft_ns = fft;
-  RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                     .core = core, .kind = obs::EventKind::kStageEnd,
-                     .stage = obs::Stage::kFft);
   if (adaptive) adaptive->observe_fft(w.costs.fft_subtask);
-
-  // Demod (deterministic).
-  if (t + w.costs.demod > w.deadline) {
-    out.end = t;
-    out.miss = out.dropped = true;
-    out.missed_stage = obs::Stage::kDemod;
-    RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                       .core = core, .kind = obs::EventKind::kDrop,
-                       .stage = obs::Stage::kDemod);
+  if (!run_fixed_stage(out, obs::Stage::kDemod, w.costs.demod, w, t, tracer,
+                       core))
     return out;
-  }
-  RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                     .a = obs::clamp_payload_ns(w.costs.demod), .core = core,
-                     .kind = obs::EventKind::kStageBegin,
-                     .stage = obs::Stage::kDemod);
-  t += w.costs.demod;
-  out.demod_ns = w.costs.demod;
-  RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                     .core = core, .kind = obs::EventKind::kStageEnd,
-                     .stage = obs::Stage::kDemod);
 
   // Decode: admission per policy (WCET by default), then actual execution
   // with termination at the deadline.

@@ -1,6 +1,7 @@
 // Shared serial (non-migrating) execution of one subframe's stage chain,
 // used by the partitioned and global policies, plus the decode-admission
-// inputs and per-subframe epilogue all three sim policies share.
+// inputs, the fixed-cost stage step and the per-subframe prologue and
+// epilogue all three sim policies share.
 #pragma once
 
 #include "obs/tracer.hpp"
@@ -81,6 +82,59 @@ unsigned assumed_iterations(const sim::SubframeWork& w,
 bool apply_admission(SerialOutcome& o, const Admission& adm,
                      const sim::SubframeWork& w, TimePoint t,
                      obs::Tracer* tracer, unsigned core);
+
+/// The per-subframe prologue every sim scheduler runs once `w` starts on
+/// `core` at `start`: the idle gap since the core's previous subframe ended
+/// at `free_at` (when the core has run one), then the kArrival and
+/// kSubframeBegin events.
+inline void begin_subframe([[maybe_unused]] const sim::SubframeWork& w,
+                           [[maybe_unused]] unsigned core, TimePoint start,
+                           TimePoint free_at, bool used, bool record_samples,
+                           [[maybe_unused]] obs::Tracer* tracer,
+                           sim::SchedulerMetrics& metrics) {
+  if (used && start > free_at) {
+    metrics.record_gap(to_us(start - free_at), record_samples);
+    RTOPEX_TRACE_EVENT(tracer, .ts = free_at, .core = core,
+                       .kind = obs::EventKind::kGapBegin);
+    RTOPEX_TRACE_EVENT(tracer, .ts = start, .core = core,
+                       .kind = obs::EventKind::kGapEnd);
+  }
+  RTOPEX_TRACE_EVENT(tracer, .ts = w.arrival, .bs = w.bs, .index = w.index,
+                     .a = obs::clamp_payload_ns(w.deadline - w.arrival),
+                     .b = obs::clamp_payload_ns(w.arrival - w.radio_time),
+                     .core = core, .kind = obs::EventKind::kArrival);
+  RTOPEX_TRACE_EVENT(tracer, .ts = start, .bs = w.bs, .index = w.index,
+                     .core = core, .kind = obs::EventKind::kSubframeBegin);
+}
+
+/// One fixed-cost stage (FFT or demod) of `w` on `core` from `t`. The slack
+/// check is exact: when `cost` would overrun the deadline the subframe
+/// drops there (kDrop, `o` marked dropped at `t`); otherwise the stage runs
+/// through (kStageBegin carrying `cost`, `t` advanced, kStageEnd) and its
+/// time lands in `o`. Returns whether the stage ran.
+inline bool run_fixed_stage(SerialOutcome& o, obs::Stage stage, Duration cost,
+                            const sim::SubframeWork& w, TimePoint& t,
+                            [[maybe_unused]] obs::Tracer* tracer,
+                            [[maybe_unused]] unsigned core) {
+  if (t + cost > w.deadline) {
+    o.end = t;
+    o.miss = o.dropped = true;
+    o.missed_stage = stage;
+    RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
+                       .core = core, .kind = obs::EventKind::kDrop,
+                       .stage = stage);
+    return false;
+  }
+  RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
+                     .a = obs::clamp_payload_ns(cost), .core = core,
+                     .kind = obs::EventKind::kStageBegin, .stage = stage);
+  t += cost;
+  (stage == obs::Stage::kFft ? o.fft_ns : o.demod_ns) = cost;
+  RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
+                     .core = core, .kind = obs::EventKind::kStageEnd,
+                     .stage = stage);
+  return true;
+}
 
 /// The per-subframe epilogue every sim scheduler runs once `w` finished on
 /// `core` (started at `start`): the kSubframeEnd event and a tracer collect,

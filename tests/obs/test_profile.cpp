@@ -57,11 +57,11 @@ TEST(Profiler, SoftwareBackendFillsSoftwareCountersOnly) {
   cfg.backend = Backend::kSoftware;
   Profiler p(1, cfg);
 
-  const auto token = p.begin(0, "work");
+  const auto token = p.begin(0, /*ts=*/0, "work");
   // Burn enough cpu for CLOCK_THREAD_CPUTIME_ID to tick.
   volatile double x = 1.0;
   for (int i = 0; i < 2000000; ++i) x = x * 1.0000001 + 1e-9;
-  p.end(0, token);
+  p.end(0, token, /*ts=*/1000);
 
   const ProfileStore store = p.take();
   ASSERT_EQ(store.samples.size(), 1u);
@@ -81,13 +81,14 @@ TEST(Profiler, PerfAndSoftwareSpanStreamsAreStructurallyIdentical) {
   // the host allows it, software otherwise) and diff everything but the
   // counter values.
   const auto drive = [](Profiler& p) {
-    const auto sf = p.begin(0, "subframe", Stage::kNone, /*bs=*/3,
+    const auto sf = p.begin(0, 0, "subframe", Stage::kNone, /*bs=*/3,
                             /*index=*/7);
-    const auto fft = p.begin(0, "fft", Stage::kFft, 3, 7);
-    p.end(0, fft, /*a=*/128);
-    const auto dec = p.begin(0, "decode", Stage::kDecode, 3, 7);
-    p.end(0, dec, pack_decode_regressors(6, 2, 27), pack_decode_load(12, 3));
-    p.end(0, sf);
+    const auto fft = p.begin(0, 0, "fft", Stage::kFft, 3, 7);
+    p.end(0, fft, 100, /*a=*/128);
+    const auto dec = p.begin(0, 100, "decode", Stage::kDecode, 3, 7);
+    p.end(0, dec, 200, pack_decode_regressors(6, 2, 27),
+          pack_decode_load(12, 3));
+    p.end(0, sf, 200);
   };
 
   ProfileConfig sw;
@@ -138,14 +139,14 @@ TEST(Profiler, SyntheticFoldedOutputIsGolden) {
   SyntheticCounter counter;
   Profiler p(1, synthetic_config(counter));
   TimePoint vclock = 0;
-  p.set_clock([&vclock] { return vclock += 1000; });
+  const auto tick = [&vclock] { return vclock += 1000; };
 
-  const auto sf = p.begin(0, "subframe");
-  const auto fft = p.begin(0, "fft", Stage::kFft);
-  p.end(0, fft);
-  const auto dec = p.begin(0, "decode", Stage::kDecode);
-  p.end(0, dec);
-  p.end(0, sf);
+  const auto sf = p.begin(0, tick(), "subframe");
+  const auto fft = p.begin(0, tick(), "fft", Stage::kFft);
+  p.end(0, fft, tick());
+  const auto dec = p.begin(0, tick(), "decode", Stage::kDecode);
+  p.end(0, dec, tick());
+  p.end(0, sf, tick());
 
   const ProfileStore store = p.take();
   ASSERT_EQ(store.samples.size(), 3u);
@@ -157,28 +158,25 @@ TEST(Profiler, SyntheticFoldedOutputIsGolden) {
   // Same program again: identical folded bytes (determinism, not luck).
   SyntheticCounter counter2;
   Profiler p2(1, synthetic_config(counter2));
-  TimePoint vclock2 = 0;
-  p2.set_clock([&vclock2] { return vclock2 += 1000; });
-  const auto sf2 = p2.begin(0, "subframe");
-  const auto fft2 = p2.begin(0, "fft", Stage::kFft);
-  p2.end(0, fft2);
-  const auto dec2 = p2.begin(0, "decode", Stage::kDecode);
-  p2.end(0, dec2);
-  p2.end(0, sf2);
+  vclock = 0;
+  const auto sf2 = p2.begin(0, tick(), "subframe");
+  const auto fft2 = p2.begin(0, tick(), "fft", Stage::kFft);
+  p2.end(0, fft2, tick());
+  const auto dec2 = p2.begin(0, tick(), "decode", Stage::kDecode);
+  p2.end(0, dec2, tick());
+  p2.end(0, sf2, tick());
   EXPECT_EQ(folded(p2.take()), folded(store));
 }
 
 TEST(Profiler, AggregateCutsAndCounterTracks) {
   SyntheticCounter counter;
   Profiler p(2, synthetic_config(counter));
-  TimePoint vclock = 0;
-  p.set_clock([&vclock] { return vclock += 500; });
 
   // Two tracks, distinct stages and basestations.
-  const auto t0 = p.begin(0, "fft", Stage::kFft, /*bs=*/0);
-  p.end(0, t0);
-  const auto t1 = p.begin(1, "decode", Stage::kDecode, /*bs=*/1);
-  p.end(1, t1);
+  const auto t0 = p.begin(0, 500, "fft", Stage::kFft, /*bs=*/0);
+  p.end(0, t0, 1000);
+  const auto t1 = p.begin(1, 1500, "decode", Stage::kDecode, /*bs=*/1);
+  p.end(1, t1, 2000);
 
   const ProfileStore store = p.take();
   const ProfileReport report = aggregate(store);
@@ -213,8 +211,8 @@ TEST(Profiler, DropsOnFullSlabAndDepthOverflowAndTakeResets) {
   Profiler p(1, cfg);
 
   for (int i = 0; i < 4; ++i) {
-    const auto t = p.begin(0, "span");
-    p.end(0, t);
+    const auto t = p.begin(0, i, "span");
+    p.end(0, t, i + 1);
   }
   EXPECT_EQ(p.total_drops(), 2u);
 
@@ -224,8 +222,8 @@ TEST(Profiler, DropsOnFullSlabAndDepthOverflowAndTakeResets) {
 
   // take() reset the slab and the drop counter.
   EXPECT_EQ(p.total_drops(), 0u);
-  const auto t = p.begin(0, "again");
-  p.end(0, t);
+  const auto t = p.begin(0, 10, "again");
+  p.end(0, t, 11);
   store = p.take();
   EXPECT_EQ(store.samples.size(), 1u);
   EXPECT_EQ(store.drops, 0u);
@@ -235,9 +233,9 @@ TEST(Profiler, DropsOnFullSlabAndDepthOverflowAndTakeResets) {
   Profiler deep(1, synthetic_config(counter));
   std::vector<Profiler::SpanToken> tokens;
   for (unsigned d = 0; d < kMaxSpanDepth + 2; ++d)
-    tokens.push_back(deep.begin(0, "deep"));
+    tokens.push_back(deep.begin(0, d, "deep"));
   for (auto it = tokens.rbegin(); it != tokens.rend(); ++it)
-    deep.end(0, *it);
+    deep.end(0, *it, kMaxSpanDepth + 2);
   const ProfileStore deep_store = deep.take();
   EXPECT_EQ(deep_store.samples.size(), kMaxSpanDepth);
   EXPECT_EQ(deep_store.drops, 2u);
@@ -279,12 +277,12 @@ TEST(Profiler, ConcurrentTracksHammer) {
       while (!go.load(std::memory_order_acquire)) {
       }
       for (int i = 0; i < kSpansPerTrack; ++i) {
-        const auto outer = p.begin(t, "outer", Stage::kFft, t,
+        const auto outer = p.begin(t, 2 * i, "outer", Stage::kFft, t,
                                    static_cast<std::uint32_t>(i));
-        const auto inner = p.begin(t, "inner", Stage::kDecode, t,
+        const auto inner = p.begin(t, 2 * i, "inner", Stage::kDecode, t,
                                    static_cast<std::uint32_t>(i));
-        p.end(t, inner);
-        p.end(t, outer);
+        p.end(t, inner, 2 * i + 1);
+        p.end(t, outer, 2 * i + 1);
       }
     });
   go.store(true, std::memory_order_release);

@@ -262,16 +262,28 @@ TEST(TraceCsvRobustness, FooterCountMismatchIsRejected) {
   std::remove(path.c_str());
 }
 
-TEST(TraceCsvRobustness, LegacyHeaderWithoutFooterStillLoads) {
-  std::string text = small_csv();
-  // Strip the v2 footer and downgrade the header to the legacy name
-  // ("ts_ns_v2" -> "ts_ns", 8 header chars replaced).
-  const std::size_t last = text.rfind('\n', text.size() - 2);
-  std::string legacy = "ts_ns" + text.substr(8, last + 1 - 8);
-  const std::string path = write_text("replay_legacy.csv", legacy);
-  const obs::TraceStore loaded = analysis::load_trace_csv(path);
-  std::remove(path.c_str());
-  EXPECT_EQ(loaded.events.size(), 2u);
+TEST(TraceCsvRobustness, LegacyHeadersAreRejected) {
+  // Only the version write_trace_csv emits loads: a pre-footer "ts_ns" file
+  // and a "ts_ns_v2" file are both refused by name, footer or not.
+  const std::string text = small_csv();
+  const std::string body = text.substr(text.find(','));
+  for (const std::string legacy : {"ts_ns", "ts_ns_v2"}) {
+    const std::string path = write_text("replay_legacy.csv", legacy + body);
+    EXPECT_THROW(
+        {
+          try {
+            analysis::load_trace_csv(path);
+          } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find("version"),
+                      std::string::npos)
+                << e.what();
+            throw;
+          }
+        },
+        std::runtime_error)
+        << legacy;
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace

@@ -5,8 +5,14 @@
 // period is stretched far beyond real time.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
 #include <set>
+#include <sstream>
+#include <string>
+#include <tuple>
 
+#include "obs/prom_lint.hpp"
 #include "runtime/node_runtime.hpp"
 #include "support/sanitizer_pacing.hpp"
 
@@ -113,7 +119,10 @@ TEST(NodeRuntimeTest, ThroughputBatchedDecodesEverything) {
   // Saturating arrival (period far below this host's decode time) with
   // enforcement off: jobs queue up, so batched workers drain several per
   // pass and fuse their code blocks into cross-subframe SoA batches. The
-  // conservation/CRC contract must hold exactly as in latency mode.
+  // conservation/CRC contract must hold exactly as in latency mode, and
+  // profiling a fused pass must keep every span: no subframe's span stays
+  // open across another's, so nothing nests deeper than subframe;stage or
+  // overflows the span stack.
   for (const auto mode : {RuntimeMode::kGlobal, RuntimeMode::kPartitioned}) {
     auto cfg = small_config(mode);
     cfg.subframe_period = microseconds(200);
@@ -123,6 +132,8 @@ TEST(NodeRuntimeTest, ThroughputBatchedDecodesEverything) {
     cfg.subframes_per_bs = 6;
     cfg.throughput.batch = 8;
     cfg.throughput.numa_pools = true;
+    cfg.trace.enabled = true;
+    cfg.profile.enabled = true;
     NodeRuntime runtime(cfg);
     const auto report = runtime.run();
     check_complete(report, cfg);
@@ -133,7 +144,126 @@ TEST(NodeRuntimeTest, ThroughputBatchedDecodesEverything) {
     EXPECT_GT(report.batched_subframes, 0u)
         << "mode " << static_cast<int>(mode);
     EXPECT_LE(report.batched_subframes, report.records.size());
+
+    EXPECT_EQ(report.profile.drops, 0u) << "mode " << static_cast<int>(mode);
+    std::map<std::pair<unsigned, std::uint32_t>, int> fft_spans, demod_spans;
+    for (const auto& s : report.profile.samples) {
+      EXPECT_LE(s.depth, 2u) << "mode " << static_cast<int>(mode);
+      if (s.stage == obs::Stage::kFft) ++fft_spans[{s.bs, s.index}];
+      if (s.stage == obs::Stage::kDemod) ++demod_spans[{s.bs, s.index}];
+    }
+    for (const auto& r : report.records) {
+      const std::pair<unsigned, std::uint32_t> id{r.bs, r.index};
+      EXPECT_EQ(fft_spans[id], 1) << "bs=" << r.bs << " idx=" << r.index;
+      EXPECT_EQ(demod_spans[id], 1) << "bs=" << r.bs << " idx=" << r.index;
+    }
   }
+}
+
+TEST(NodeRuntimeTest, StageEdgesShareOneInstant) {
+  // Each stage edge is read once and shared: a stage's profile sample, its
+  // kStageBegin/kStageEnd and the record's timing width are one interval,
+  // adjacent stages meet at one instant, and a hosted chunk's spans sit
+  // exactly on its kHostBegin/kHostEnd.
+  if (!RTOPEX_TRACE_ENABLED) GTEST_SKIP() << "built with RTOPEX_TRACING=OFF";
+  auto cfg = small_config(RuntimeMode::kRtOpex);
+  cfg.mcs_cycle = {27, 16};  // multi-code-block subframes: migratable decode
+  cfg.subframe_period = milliseconds(30) * test::pacing_scale();
+  cfg.deadline_budget = milliseconds(60) * test::pacing_scale();
+  cfg.enforce_deadlines = false;
+  cfg.trace.enabled = true;
+  cfg.trace.ring_capacity = 1 << 14;
+  cfg.profile.enabled = true;
+  NodeRuntime runtime(cfg);
+  const auto report = runtime.run();
+  check_complete(report, cfg);
+  ASSERT_EQ(report.trace.total_drops(), 0u);
+  ASSERT_EQ(report.profile.drops, 0u);
+
+  using Key = std::tuple<unsigned, std::uint32_t, obs::Stage>;
+  std::map<Key, TimePoint> stage_begin, stage_end;
+  using HostKey = std::tuple<std::uint32_t, unsigned, std::uint32_t>;
+  std::map<HostKey, std::set<TimePoint>> host_begin, host_end;
+  for (const auto& ev : report.trace.events) {
+    const Key key{ev.bs, ev.index, ev.stage};
+    const HostKey host{ev.core, ev.bs, ev.index};
+    if (ev.kind == obs::EventKind::kStageBegin) stage_begin[key] = ev.ts;
+    if (ev.kind == obs::EventKind::kStageEnd) stage_end[key] = ev.ts;
+    if (ev.kind == obs::EventKind::kHostBegin) host_begin[host].insert(ev.ts);
+    if (ev.kind == obs::EventKind::kHostEnd) host_end[host].insert(ev.ts);
+  }
+  std::map<Key, const obs::profile::ProfileSample*> own_spans;
+  std::size_t host_samples = 0;
+  for (const auto& s : report.profile.samples) {
+    if (std::strcmp(s.frames[0], "host") == 0) {
+      ++host_samples;
+      const HostKey host{s.core, s.bs, s.index};
+      EXPECT_EQ(host_begin[host].count(s.ts_begin), 1u)
+          << "host span on core " << s.core << " bs=" << s.bs;
+      EXPECT_EQ(host_end[host].count(s.ts_end), 1u)
+          << "host span on core " << s.core << " bs=" << s.bs;
+    } else if (s.stage != obs::Stage::kNone) {
+      own_spans[Key{s.bs, s.index, s.stage}] = &s;
+    }
+  }
+
+  for (const auto& r : report.records) {
+    const Key fft{r.bs, r.index, obs::Stage::kFft};
+    const Key demod{r.bs, r.index, obs::Stage::kDemod};
+    const Key decode{r.bs, r.index, obs::Stage::kDecode};
+    const auto width = [&](const Key& key) {
+      const auto* span = own_spans[key];
+      EXPECT_NE(span, nullptr) << "bs=" << r.bs << " idx=" << r.index;
+      if (!span) return Duration{-1};
+      EXPECT_EQ(span->ts_begin, stage_begin[key]);
+      EXPECT_EQ(span->ts_end, stage_end[key]);
+      return span->ts_end - span->ts_begin;
+    };
+    EXPECT_EQ(r.timing.fft, width(fft));
+    EXPECT_EQ(r.timing.demod, width(demod));
+    EXPECT_EQ(r.timing.decode, width(decode));
+    EXPECT_EQ(stage_end[fft], stage_begin[demod]);
+    EXPECT_EQ(stage_end[demod], stage_begin[decode]);
+    EXPECT_EQ(stage_end[decode], r.completion);
+  }
+  // Migration needs an idle peer, which a loaded host may never offer; the
+  // host half of the check is then vacuous.
+  if (report.migrations > 0) EXPECT_GT(host_samples, 0u);
+}
+
+TEST(NodeRuntimeTest, LiveSnapshotDeclaresThePostRunSeries) {
+  // The mid-run snapshot and the post-run registry render their shared
+  // series from one function: every HELP/TYPE header of the last live
+  // snapshot (bar its uptime gauge, which only a running node has) recurs
+  // verbatim after the run, and both texts are valid expositions.
+  auto cfg = small_config(RuntimeMode::kRtOpex);
+  cfg.subframes_per_bs = 4;
+  cfg.trace.enabled = true;
+  cfg.metrics_period = cfg.subframe_period;
+  std::string live;
+  cfg.metrics_sink = [&live](const std::string& text) { live = text; };
+  NodeRuntime runtime(cfg);
+  const auto report = runtime.run();
+  ASSERT_FALSE(live.empty());
+  obs::MetricsRegistry registry;
+  fill_registry(report, registry);
+  const std::string post = registry.render();
+  for (const std::string& problem : obs::lint_prometheus_text(live))
+    ADD_FAILURE() << "live: " << problem;
+  for (const std::string& problem : obs::lint_prometheus_text(post))
+    ADD_FAILURE() << "post-run: " << problem;
+
+  std::istringstream in(live);
+  std::size_t headers = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("# ", 0) != 0 ||
+        line.find(" rtopex_runtime_uptime_seconds ") != std::string::npos)
+      continue;
+    ++headers;
+    EXPECT_NE(post.find(line + "\n"), std::string::npos) << line;
+  }
+  // 8 runtime counters and 4 trace series, a HELP and a TYPE line each.
+  EXPECT_EQ(headers, 2u * 12);
 }
 
 TEST(NodeRuntimeTest, ThroughputBatchOfOneMatchesDefaultContract) {
