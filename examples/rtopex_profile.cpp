@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
   phy::UplinkTransmitter tx(cfg);
   phy::UplinkRxProcessor rx(cfg);
 
-  // One pre-built TX subframe per distinct MCS (the RX job decodes copies).
+  // One pre-built TX subframe per distinct MCS (the RX job reads it in place).
   struct Variant {
     unsigned mcs;
     std::uint32_t subframe_index;

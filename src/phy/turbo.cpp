@@ -6,6 +6,10 @@
 #include <stdexcept>
 #include <type_traits>
 
+#if defined(RTOPEX_SIMD) && defined(__AVX2__)
+#include <immintrin.h>
+#endif
+
 namespace rtopex::phy {
 namespace {
 
@@ -160,14 +164,14 @@ LlrVector siso_decode(std::span<const float> sys_in,
   return out;
 }
 
-// Flattened max-log-MAP over the same trellis, bit-identical to siso_decode:
+// Flattened max-log-MAP over the same trellis, bit-identical to siso_decode.
 //
-//  * The four distinct branch metrics per step — gamma(u, z) =
-//    (±0.5)·sys + (±0.5)·par — are precomputed into ws.gamma as
-//    {a+b, a-b, b-a, -(a+b)} with a = 0.5f·sys, b = 0.5f·par. Each equals
-//    the reference's bu·sys + bz·par exactly: multiplying by -0.5f instead
-//    of 0.5f only flips the sign bit, IEEE negation is exact, and rounding
-//    is symmetric.
+//  * The four distinct branch metrics per step, gamma(u, z) =
+//    (±0.5)·sys + (±0.5)·par, are {a+b, a-b, b-a, -(a+b)} with
+//    a = 0.5f·sys, b = 0.5f·par. Each equals the reference's bu·sys + bz·par
+//    exactly: multiplying by -0.5f instead of 0.5f only flips the sign bit,
+//    IEEE negation is exact, and rounding is symmetric. Every pass computes
+//    them where it needs them.
 //  * The 8-state transition structure is unrolled at compile time from the
 //    generators (g0 = 1 + D^2 + D^3, g1 = 1 + D + D^3), removing the
 //    per-branch table walk and the reachability branches. Unreachable
@@ -175,45 +179,160 @@ LlrVector siso_decode(std::span<const float> sys_in,
 //    and kNegInf + gamma == kNegInf in float (the ulp at 1e30 dwarfs any
 //    branch metric), so the branchless max yields the same floats the
 //    guarded reference produces.
-//  * Forward metrics go to ws.alpha (8 per step); backward metrics never
-//    materialize — beta lives in 8 registers and the LLR extraction is
-//    fused into the backward sweep.
+//  * The forward and backward recursions are independent dependency chains,
+//    so they run interleaved in one loop, each storing its metrics per step
+//    (ws.alpha, ws.beta: one row of 8 states per step). A separate pass then
+//    extracts every LLR from (alpha[i], gamma[i], beta[i+1]).
 //
 // Association orders match the reference exactly: alpha-then-gamma,
-// beta-then-gamma, (alpha + gamma) + beta.
-void siso_decode_flat(const float* sys_in, const float* par_in, std::size_t k,
-                      DecodeWorkspace& ws, float* app_out) {
-  const std::size_t steps = k + 3;
+// beta-then-gamma, (alpha + gamma) + beta, and each LLR's two max chains
+// run over the states in the reference's order.
+//
+// Transition map (state s, input u) -> (next, z), branch metrics indexed
+// (u << 1) | z:
+//   s0: u0->(0,0) u1->(1,1)    s4: u0->(1,0) u1->(0,1)
+//   s1: u0->(2,1) u1->(3,0)    s5: u0->(3,1) u1->(2,0)
+//   s2: u0->(5,1) u1->(4,0)    s6: u0->(4,1) u1->(5,0)
+//   s3: u0->(7,0) u1->(6,1)    s7: u0->(6,0) u1->(7,1)
 
-  grow_buffer(ws.gamma, 4 * steps);
-  grow_buffer(ws.alpha, 8 * (steps + 1));
-  float* g = ws.gamma.data();
-  float* alpha = ws.alpha.data();
+// Both recursions start from state 0: the trellis starts there and, being
+// terminated, ends there.
+constexpr float kStartMetrics[kNumStates] = {
+    0.0f, kNegInf, kNegInf, kNegInf, kNegInf, kNegInf, kNegInf, kNegInf};
 
-  // Branch metrics, indexed (u << 1) | z.
-  for (std::size_t i = 0; i < steps; ++i) {
-    const float a = 0.5f * sys_in[i];
-    const float b = 0.5f * par_in[i];
-    g[4 * i + 0] = a + b;     // u=0, z=0
-    g[4 * i + 1] = a - b;     // u=0, z=1
-    g[4 * i + 2] = b - a;     // u=1, z=0
-    g[4 * i + 3] = -(a + b);  // u=1, z=1
+// The LLR of one trellis step from its forward metrics a (alpha[i], state s
+// at a[s]), its backward metrics b (beta[i+1]) and its channel inputs. T is
+// float for one step, or one lane per step for eight steps at once.
+template <typename T>
+inline T step_llr(const T* a, const T* b, T sys, T par) {
+  using std::max;
+  const T x = 0.5f * sys;
+  const T y = 0.5f * par;
+  const T g0 = x + y;     // u=0, z=0
+  const T g1 = x - y;     // u=0, z=1
+  const T g2 = y - x;     // u=1, z=0
+  const T g3 = -(x + y);  // u=1, z=1
+  T m0 = (a[0] + g0) + b[0];
+  m0 = max(m0, (a[1] + g1) + b[2]);
+  m0 = max(m0, (a[2] + g1) + b[5]);
+  m0 = max(m0, (a[3] + g0) + b[7]);
+  m0 = max(m0, (a[4] + g0) + b[1]);
+  m0 = max(m0, (a[5] + g1) + b[3]);
+  m0 = max(m0, (a[6] + g1) + b[4]);
+  m0 = max(m0, (a[7] + g0) + b[6]);
+  T m1 = (a[0] + g3) + b[1];
+  m1 = max(m1, (a[1] + g2) + b[3]);
+  m1 = max(m1, (a[2] + g2) + b[4]);
+  m1 = max(m1, (a[3] + g3) + b[6]);
+  m1 = max(m1, (a[4] + g3) + b[0]);
+  m1 = max(m1, (a[5] + g2) + b[2]);
+  m1 = max(m1, (a[6] + g2) + b[5]);
+  m1 = max(m1, (a[7] + g3) + b[7]);
+  return m0 - m1;
+}
+
+#if defined(RTOPEX_SIMD) && defined(__AVX2__)
+// Eight trellis steps, one per lane, for step_llr. std::max(x, y) keeps x
+// unless x < y, and _mm256_max_ps(y, x) takes y only when y > x: the same
+// choice, down to the sign of a zero, so every max swaps its operands.
+struct Lanes8 {
+  __m256 v;
+};
+inline Lanes8 operator+(Lanes8 p, Lanes8 q) { return {_mm256_add_ps(p.v, q.v)}; }
+inline Lanes8 operator-(Lanes8 p, Lanes8 q) { return {_mm256_sub_ps(p.v, q.v)}; }
+inline Lanes8 operator-(Lanes8 p) {
+  return {_mm256_xor_ps(p.v, _mm256_set1_ps(-0.0f))};
+}
+inline Lanes8 operator*(float c, Lanes8 p) {
+  return {_mm256_mul_ps(_mm256_set1_ps(c), p.v)};
+}
+inline Lanes8 max(Lanes8 p, Lanes8 q) { return {_mm256_max_ps(q.v, p.v)}; }
+
+// Eight consecutive metric rows (step-major) to eight state columns: lane j
+// of cols[s] is state s of row j.
+inline void transpose_rows(const float* rows, Lanes8* cols) {
+  __m256 r[8], t[8];
+  for (int j = 0; j < 8; ++j) r[j] = _mm256_loadu_ps(rows + 8 * j);
+  for (int j = 0; j < 8; j += 2) {
+    t[j] = _mm256_unpacklo_ps(r[j], r[j + 1]);
+    t[j + 1] = _mm256_unpackhi_ps(r[j], r[j + 1]);
+  }
+  for (int h = 0; h < 8; h += 4) {
+    r[h + 0] = _mm256_shuffle_ps(t[h + 0], t[h + 2], 0x44);
+    r[h + 1] = _mm256_shuffle_ps(t[h + 0], t[h + 2], 0xEE);
+    r[h + 2] = _mm256_shuffle_ps(t[h + 1], t[h + 3], 0x44);
+    r[h + 3] = _mm256_shuffle_ps(t[h + 1], t[h + 3], 0xEE);
+  }
+  for (int s = 0; s < 4; ++s) {
+    cols[s].v = _mm256_permute2f128_ps(r[s], r[s + 4], 0x20);
+    cols[s + 4].v = _mm256_permute2f128_ps(r[s], r[s + 4], 0x31);
+  }
+}
+
+// Each recursion keeps its 8 state metrics in one vector. A step picks
+// every state's two predecessors with two permutes, adds the two branch
+// metric vectors and takes one max. The first metric vector is built from
+// broadcast a = 0.5f·sys and b = 0.5f·par with sign-bit flips (a-b is
+// a+(-b) and b-a is (-a)+b exactly); the second is its negation. A lane
+// that holds (-a)+(-b) for -(a+b), or a negated sum for a-b or b-a, can
+// differ from the portable expression only in the sign of a zero, which no
+// metric sees: alpha and beta are never -0 (they start at +0 or kNegInf,
+// and a float sum is -0 only when both addends are), so adding +0 or -0
+// gives the same float. With the eight-step extraction, this form measured
+// 2.1x faster than the portable one on BM_TurboDecode/6144/1
+// (EXPERIMENTS.md).
+class Recursions {
+ public:
+  Recursions() : alpha_(_mm256_loadu_ps(kStartMetrics)), beta_(alpha_) {}
+
+  // alpha[i+1] into row n. Lanes: n[s] = max(alpha[s/2] + fwd[s],
+  // alpha[s/2 + 4] - fwd[s]), fwd = {g0, g3, g1, g2, g2, g1, g3, g0}.
+  void forward(float sys, float par, float* n) {
+    const __m256 g = _mm256_add_ps(
+        _mm256_xor_ps(_mm256_mul_ps(half_, _mm256_set1_ps(sys)), fwd_sys_),
+        _mm256_xor_ps(_mm256_mul_ps(half_, _mm256_set1_ps(par)), flip_par_));
+    alpha_ = _mm256_max_ps(
+        _mm256_add_ps(_mm256_permutevar8x32_ps(alpha_, fwd_hi_),
+                      _mm256_xor_ps(g, neg_)),
+        _mm256_add_ps(_mm256_permutevar8x32_ps(alpha_, fwd_lo_), g));
+    _mm256_storeu_ps(n, alpha_);
   }
 
-  // Forward pass. Transition map (state s, input u) -> (next, z):
-  //   s0: u0->(0,0) u1->(1,1)    s4: u0->(1,0) u1->(0,1)
-  //   s1: u0->(2,1) u1->(3,0)    s5: u0->(3,1) u1->(2,0)
-  //   s2: u0->(5,1) u1->(4,0)    s6: u0->(4,1) u1->(5,0)
-  //   s3: u0->(7,0) u1->(6,1)    s7: u0->(6,0) u1->(7,1)
-  alpha[0] = 0.0f;
-  for (int s = 1; s < kNumStates; ++s) alpha[s] = kNegInf;
-  for (std::size_t i = 0; i < steps; ++i) {
-    const float* a = alpha + 8 * i;
-    float* n = alpha + 8 * (i + 1);
-    const float g0 = g[4 * i + 0];
-    const float g1 = g[4 * i + 1];
-    const float g2 = g[4 * i + 2];
-    const float g3 = g[4 * i + 3];
+  // beta[j] into row p. Lanes: p[s] = max(beta[next(s, 0)] + bwd[s],
+  // beta[next(s, 1)] - bwd[s]), bwd = {g0, g1, g1, g0, g0, g1, g1, g0}.
+  void backward(float sys, float par, float* p) {
+    const __m256 g = _mm256_add_ps(
+        _mm256_mul_ps(half_, _mm256_set1_ps(sys)),
+        _mm256_xor_ps(_mm256_mul_ps(half_, _mm256_set1_ps(par)), flip_par_));
+    beta_ = _mm256_max_ps(
+        _mm256_add_ps(_mm256_permutevar8x32_ps(beta_, bwd_u1_),
+                      _mm256_xor_ps(g, neg_)),
+        _mm256_add_ps(_mm256_permutevar8x32_ps(beta_, bwd_u0_), g));
+    _mm256_storeu_ps(p, beta_);
+  }
+
+ private:
+  __m256 alpha_, beta_;
+  const __m256 half_ = _mm256_set1_ps(0.5f);
+  const __m256 neg_ = _mm256_set1_ps(-0.0f);
+  const __m256 fwd_sys_ = _mm256_setr_ps(0.0f, -0.0f, 0.0f, -0.0f, -0.0f,
+                                         0.0f, -0.0f, 0.0f);
+  const __m256 flip_par_ = _mm256_setr_ps(0.0f, -0.0f, -0.0f, 0.0f, 0.0f,
+                                          -0.0f, -0.0f, 0.0f);
+  const __m256i fwd_lo_ = _mm256_setr_epi32(0, 0, 1, 1, 2, 2, 3, 3);
+  const __m256i fwd_hi_ = _mm256_setr_epi32(4, 4, 5, 5, 6, 6, 7, 7);
+  const __m256i bwd_u0_ = _mm256_setr_epi32(0, 2, 5, 7, 1, 3, 4, 6);
+  const __m256i bwd_u1_ = _mm256_setr_epi32(1, 3, 4, 6, 0, 2, 5, 7);
+};
+#else
+// Portable recursions: each step reads the previous row back.
+struct Recursions {
+  // alpha[i+1] into row n from alpha[i] in row n - 8.
+  static void forward(float sys, float par, float* n) {
+    const float* a = n - kNumStates;
+    const float x = 0.5f * sys;
+    const float y = 0.5f * par;
+    const float g0 = x + y, g1 = x - y, g2 = y - x, g3 = -(x + y);
     n[0] = std::max(a[0] + g0, a[4] + g3);
     n[1] = std::max(a[0] + g3, a[4] + g0);
     n[2] = std::max(a[1] + g1, a[5] + g2);
@@ -224,59 +343,64 @@ void siso_decode_flat(const float* sys_in, const float* par_in, std::size_t k,
     n[7] = std::max(a[3] + g0, a[7] + g3);
   }
 
-  // Backward sweep with fused LLR extraction. beta starts terminated (state
-  // 0) at `steps`, walks the three tail steps, then emits app_out[i] from
-  // (alpha[i], gamma[i], beta[i+1]) before retiring step i.
-  float b0 = 0.0f, b1 = kNegInf, b2 = kNegInf, b3 = kNegInf;
-  float b4 = kNegInf, b5 = kNegInf, b6 = kNegInf, b7 = kNegInf;
-  auto beta_step = [&](std::size_t i) {
-    const float g0 = g[4 * i + 0];
-    const float g1 = g[4 * i + 1];
-    const float g2 = g[4 * i + 2];
-    const float g3 = g[4 * i + 3];
-    const float p0 = std::max(b0 + g0, b1 + g3);
-    const float p1 = std::max(b2 + g1, b3 + g2);
-    const float p2 = std::max(b5 + g1, b4 + g2);
-    const float p3 = std::max(b7 + g0, b6 + g3);
-    const float p4 = std::max(b1 + g0, b0 + g3);
-    const float p5 = std::max(b3 + g1, b2 + g2);
-    const float p6 = std::max(b4 + g1, b5 + g2);
-    const float p7 = std::max(b6 + g0, b7 + g3);
-    b0 = p0; b1 = p1; b2 = p2; b3 = p3;
-    b4 = p4; b5 = p5; b6 = p6; b7 = p7;
-  };
-  for (std::size_t i = steps; i-- > k;) beta_step(i);
-  for (std::size_t i = k; i-- > 0;) {
-    const float* a = alpha + 8 * i;
-    const float g0 = g[4 * i + 0];
-    const float g1 = g[4 * i + 1];
-    const float g2 = g[4 * i + 2];
-    const float g3 = g[4 * i + 3];
-    float m0 = (a[0] + g0) + b0;
-    m0 = std::max(m0, (a[1] + g1) + b2);
-    m0 = std::max(m0, (a[2] + g1) + b5);
-    m0 = std::max(m0, (a[3] + g0) + b7);
-    m0 = std::max(m0, (a[4] + g0) + b1);
-    m0 = std::max(m0, (a[5] + g1) + b3);
-    m0 = std::max(m0, (a[6] + g1) + b4);
-    m0 = std::max(m0, (a[7] + g0) + b6);
-    float m1 = (a[0] + g3) + b1;
-    m1 = std::max(m1, (a[1] + g2) + b3);
-    m1 = std::max(m1, (a[2] + g2) + b4);
-    m1 = std::max(m1, (a[3] + g3) + b6);
-    m1 = std::max(m1, (a[4] + g3) + b0);
-    m1 = std::max(m1, (a[5] + g2) + b2);
-    m1 = std::max(m1, (a[6] + g2) + b5);
-    m1 = std::max(m1, (a[7] + g3) + b7);
-    app_out[i] = m0 - m1;
-    beta_step(i);
+  // beta[j] into row p from beta[j+1] in row p + 8.
+  static void backward(float sys, float par, float* p) {
+    const float* b = p + kNumStates;
+    const float x = 0.5f * sys;
+    const float y = 0.5f * par;
+    const float g0 = x + y, g1 = x - y, g2 = y - x, g3 = -(x + y);
+    p[0] = std::max(b[0] + g0, b[1] + g3);
+    p[1] = std::max(b[2] + g1, b[3] + g2);
+    p[2] = std::max(b[5] + g1, b[4] + g2);
+    p[3] = std::max(b[7] + g0, b[6] + g3);
+    p[4] = std::max(b[1] + g0, b[0] + g3);
+    p[5] = std::max(b[3] + g1, b[2] + g2);
+    p[6] = std::max(b[4] + g1, b[5] + g2);
+    p[7] = std::max(b[6] + g0, b[7] + g3);
   }
+};
+#endif
+
+void siso_decode_flat(const float* __restrict__ sys_in,
+                      const float* __restrict__ par_in, std::size_t k,
+                      DecodeWorkspace& ws, float* __restrict__ app_out) {
+  const std::size_t steps = k + 3;
+  grow_buffer(ws.alpha, kNumStates * (steps + 1));
+  grow_buffer(ws.beta, kNumStates * (steps + 1));
+  float* __restrict__ alpha = ws.alpha.data();
+  float* __restrict__ beta = ws.beta.data();
+
+  // Recursions: alpha[1..steps-1] forward, beta[steps-1..1] backward.
+  std::copy(kStartMetrics, kStartMetrics + kNumStates, alpha);
+  std::copy(kStartMetrics, kStartMetrics + kNumStates,
+            beta + kNumStates * steps);
+  Recursions r;
+  for (std::size_t i = 0, j = steps - 1; j > 0; ++i, --j) {
+    r.forward(sys_in[i], par_in[i], alpha + kNumStates * (i + 1));
+    r.backward(sys_in[j], par_in[j], beta + kNumStates * j);
+  }
+
+  // Extraction: app_out[i] from (alpha[i], gamma[i], beta[i+1]).
+  std::size_t i = 0;
+#if defined(RTOPEX_SIMD) && defined(__AVX2__)
+  for (; i + 8 <= k; i += 8) {
+    Lanes8 a[kNumStates], b[kNumStates];
+    transpose_rows(alpha + kNumStates * i, a);
+    transpose_rows(beta + kNumStates * (i + 1), b);
+    const Lanes8 llr = step_llr(a, b, Lanes8{_mm256_loadu_ps(sys_in + i)},
+                                Lanes8{_mm256_loadu_ps(par_in + i)});
+    _mm256_storeu_ps(app_out + i, llr.v);
+  }
+#endif
+  for (; i < k; ++i)
+    app_out[i] = step_llr(alpha + kNumStates * i,
+                          beta + kNumStates * (i + 1), sys_in[i], par_in[i]);
 }
 
 // Batched SoA variant of siso_decode_flat: every buffer holds lane-major
 // rows of kTurboBatchLanes floats ([trellis step][8 states][8 lanes]), and
-// each scalar statement of the flat kernel becomes one row statement whose
-// lane loop is pure vertical arithmetic — lane b performs exactly the
+// each per-state statement of the flat kernel becomes one row statement
+// whose lane loop is pure vertical arithmetic — lane b performs exactly the
 // operations siso_decode_flat would on block b, in the same association
 // order, so every lane is bit-identical to the scalar kernel by
 // construction. The fixed power-of-two row width keeps the lane loops
@@ -285,7 +409,7 @@ void siso_decode_flat(const float* sys_in, const float* par_in, std::size_t k,
 // whole rows, never elements within a row.
 //
 // The four branch metrics of a step are recomputed from its sys/par rows in
-// each sweep (the scalar kernel's table expressions, so the same floats): a
+// each sweep (the scalar kernel's expressions, so the same floats): a
 // step's two input rows are half the bytes of its four metric rows, and the
 // recomputation costs four vector ops per step and sweep.
 void siso_decode_flat_batch(const float* sys_in, const float* par_in,

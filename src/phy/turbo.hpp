@@ -93,11 +93,11 @@ class TurboDecoder {
       unsigned max_iterations_override = 0) const;
 
   /// Zero-allocation decode: all intermediates (SISO inputs, extrinsics,
-  /// the per-step branch-metric table, forward metrics, hard decisions) live
-  /// in `ws` and only ever grow. Results land in ws.bits (first K entries),
-  /// ws.iterations and ws.early_terminated. The flattened SISO produces
-  /// bit-identical hard decisions and iteration counts to decode_reference
-  /// (asserted by the kernel differential tests).
+  /// forward and backward metrics, hard decisions) live in `ws` and only
+  /// ever grow. Results land in ws.bits (first K entries), ws.iterations
+  /// and ws.early_terminated. The flattened SISO produces bit-identical
+  /// hard decisions and iteration counts to decode_reference (asserted by
+  /// the kernel differential tests).
   void decode_into(
       std::span<const float> systematic, std::span<const float> parity1,
       std::span<const float> parity2, DecodeWorkspace& ws,

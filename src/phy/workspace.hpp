@@ -78,8 +78,8 @@ struct DecodeWorkspace {
   std::vector<float> extrinsic1;    ///< decoder 1 -> 2 (K).
   std::vector<float> extrinsic2;    ///< decoder 2 -> 1, deinterleaved (K).
   std::vector<float> app;           ///< SISO a-posteriori output (K).
-  std::vector<float> gamma;         ///< 4 branch metrics per step (4*(K+3)).
   std::vector<float> alpha;         ///< forward metrics (8*(K+4)).
+  std::vector<float> beta;          ///< backward metrics (8*(K+4)).
   std::vector<std::uint8_t> bits;   ///< hard decisions (K).
   unsigned iterations = 0;          ///< of the last decode_into call.
   bool early_terminated = false;    ///< of the last decode_into call.

@@ -200,22 +200,42 @@ TEST(CrcKernelDifferentialTest, TableMatchesBitwiseReferenceCorners) {
 
 // --- Turbo -----------------------------------------------------------------
 
+// How a turbo case's channel LLRs are made: noisy floats, the same rounded
+// to integers (exact metric ties everywhere, and -0 wherever a small
+// negative LLR rounds), or all zero (every metric ties).
+enum class LlrShape { kNoisy, kInteger, kZero };
+
+LlrVector shaped_llrs(const BitVector& bits, double snr_db, Rng& rng,
+                      LlrShape shape) {
+  LlrVector llrs = noisy_llrs(bits, snr_db, rng);
+  for (float& x : llrs)
+    x = shape == LlrShape::kZero      ? 0.0f
+        : shape == LlrShape::kInteger ? std::nearbyint(x)
+                                      : x;
+  return llrs;
+}
+
 struct TurboCase {
   std::size_t k;
   double snr_db;
   std::uint64_t seed;
+  LlrShape shape = LlrShape::kNoisy;
 };
 
 // The flattened SISO must reproduce the reference decoder EXACTLY: same hard
 // decisions, same iteration count, same early-termination flag — across
 // block sizes, noise levels (including undecodable), CRC-gated and free
-// running. The workspace is shared across all cases (large K before small)
-// to prove stale grow-only buffers never leak into a decode.
+// running. K = 100 is not a multiple of the SISO's 8-step extraction block,
+// so its last steps take the scalar tail. The workspace is shared across
+// all cases (large K before small) to prove stale grow-only buffers never
+// leak into a decode.
 TEST(TurboKernelDifferentialTest, DecodeIntoMatchesReferenceExactly) {
   const TurboCase cases[] = {
       {6144, 2.0, 1}, {6144, -1.0, 2}, {1024, 6.0, 3},  {1024, -2.5, 4},
       {512, 0.0, 5},  {104, 4.0, 6},   {104, -4.0, 7},  {40, 8.0, 8},
-      {40, -6.0, 9},  {2048, -2.0, 10},
+      {40, -6.0, 9},  {2048, -2.0, 10}, {100, 1.0, 11}, {100, -3.0, 12},
+      {1024, -1.0, 13, LlrShape::kInteger}, {100, 0.0, 14, LlrShape::kInteger},
+      {104, 0.0, 15, LlrShape::kZero},      {100, 0.0, 16, LlrShape::kZero},
   };
   DecodeWorkspace ws;
   for (const auto& c : cases) {
@@ -226,9 +246,9 @@ TEST(TurboKernelDifferentialTest, DecodeIntoMatchesReferenceExactly) {
     BitVector payload = random_bits(c.k - 24, c.seed * 31);
     attach_crc24(payload, CrcKind::kB);
     const auto cw = enc.encode(payload);
-    const LlrVector sys = noisy_llrs(cw.systematic, c.snr_db, rng);
-    const LlrVector p1 = noisy_llrs(cw.parity1, c.snr_db, rng);
-    const LlrVector p2 = noisy_llrs(cw.parity2, c.snr_db, rng);
+    const LlrVector sys = shaped_llrs(cw.systematic, c.snr_db, rng, c.shape);
+    const LlrVector p1 = shaped_llrs(cw.parity1, c.snr_db, rng, c.shape);
+    const LlrVector p2 = shaped_llrs(cw.parity2, c.snr_db, rng, c.shape);
     const auto crc = [](std::span<const std::uint8_t> b) {
       return check_crc24(b, CrcKind::kB);
     };
@@ -249,23 +269,35 @@ TEST(TurboKernelDifferentialTest, DecodeIntoMatchesReferenceExactly) {
 }
 
 TEST(TurboKernelDifferentialTest, FreeRunningAndCappedMatchReference) {
-  const QppInterleaver qpp(512);
-  const TurboEncoder enc(qpp);
-  const TurboDecoder dec(qpp, 8);
-  Rng rng(77);
-  const BitVector bits = random_bits(512, 78);
-  const auto cw = enc.encode(bits);
-  const LlrVector sys = noisy_llrs(cw.systematic, -2.0, rng);
-  const LlrVector p1 = noisy_llrs(cw.parity1, -2.0, rng);
-  const LlrVector p2 = noisy_llrs(cw.parity2, -2.0, rng);
+  // No CRC callback: runs to Lm; iteration override: degraded-mode cap. The
+  // K = 100 integer-valued block runs the extraction tail under a cap.
+  struct CappedCase {
+    TurboCase c;
+    std::vector<unsigned> caps;
+  };
+  const CappedCase cases[] = {
+      {{512, -2.0, 77}, {0u, 1u, 3u}},
+      {{100, -1.0, 79, LlrShape::kInteger}, {2u}},
+  };
+  for (const auto& [c, caps] : cases) {
+    const QppInterleaver qpp(c.k);
+    const TurboEncoder enc(qpp);
+    const TurboDecoder dec(qpp, 8);
+    Rng rng(c.seed);
+    const BitVector bits = random_bits(c.k, c.seed + 1);
+    const auto cw = enc.encode(bits);
+    const LlrVector sys = shaped_llrs(cw.systematic, c.snr_db, rng, c.shape);
+    const LlrVector p1 = shaped_llrs(cw.parity1, c.snr_db, rng, c.shape);
+    const LlrVector p2 = shaped_llrs(cw.parity2, c.snr_db, rng, c.shape);
 
-  // No CRC callback: runs to Lm; iteration override: degraded-mode cap.
-  for (const unsigned cap : {0u, 1u, 3u}) {
-    const auto ref = dec.decode_reference(sys, p1, p2, {}, cap);
-    const auto opt = dec.decode(sys, p1, p2, {}, cap);
-    EXPECT_EQ(opt.bits, ref.bits) << "cap=" << cap;
-    EXPECT_EQ(opt.iterations, ref.iterations) << "cap=" << cap;
-    EXPECT_EQ(opt.early_terminated, ref.early_terminated) << "cap=" << cap;
+    for (const unsigned cap : caps) {
+      const auto ref = dec.decode_reference(sys, p1, p2, {}, cap);
+      const auto opt = dec.decode(sys, p1, p2, {}, cap);
+      EXPECT_EQ(opt.bits, ref.bits) << "K=" << c.k << " cap=" << cap;
+      EXPECT_EQ(opt.iterations, ref.iterations) << "K=" << c.k << " cap=" << cap;
+      EXPECT_EQ(opt.early_terminated, ref.early_terminated)
+          << "K=" << c.k << " cap=" << cap;
+    }
   }
 }
 
