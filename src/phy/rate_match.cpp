@@ -1,5 +1,6 @@
 #include "phy/rate_match.hpp"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
 
@@ -135,6 +136,30 @@ void RateMatcher::dematch_into(std::span<const float> llrs,
   if (pos == m) pos = 0;  // start landed past the last non-dummy
   for (std::size_t i = 0; i < llrs.size(); ++i) {
     streams[cbc_stream_[pos]][cbc_off_[pos]] += llrs[i];
+    pos = pos + 1 == m ? 0 : pos + 1;
+  }
+}
+
+void RateMatcher::dematch_rows(std::span<const std::span<const float>> lanes,
+                               unsigned redundancy_version, float* systematic,
+                               float* parity1, float* parity2) const {
+  constexpr std::size_t kL = kTurboBatchLanes;
+  if (lanes.size() > kL)
+    throw std::invalid_argument("dematch_rows: more than 8 lanes");
+  float* const streams[3] = {systematic, parity1, parity2};
+  std::size_t e_max = 0;
+  for (const std::span<const float> llrs : lanes)
+    e_max = std::max(e_max, llrs.size());
+  for (float* stream : streams) std::fill(stream, stream + kd_ * kL, 0.0f);
+  // The span form's walk, one row per position: lane b's LLRs reach its
+  // column in the same order, so every float matches.
+  const std::size_t m = cbc_off_.size();
+  std::size_t pos = nd_prefix_[start_index(redundancy_version)];
+  if (pos == m) pos = 0;  // start landed past the last non-dummy
+  for (std::size_t i = 0; i < e_max; ++i) {
+    float* row = streams[cbc_stream_[pos]] + cbc_off_[pos] * kL;
+    for (std::size_t b = 0; b < lanes.size(); ++b)
+      if (i < lanes[b].size()) row[b] += lanes[b][i];
     pos = pos + 1 == m ? 0 : pos + 1;
   }
 }

@@ -52,6 +52,17 @@ class RateMatcher {
                     std::span<float> systematic, std::span<float> parity1,
                     std::span<float> parity2) const;
 
+  /// Row-layout dematch of up to kTurboBatchLanes code blocks at once, for
+  /// the batched decoder: zero-fills three lane-major row blocks (K + 4
+  /// rows of kTurboBatchLanes floats: systematic, parity 1, parity 2) and
+  /// soft-combines lanes[b] into column b with the span form's walk, so
+  /// each column holds exactly the span form's floats and columns past
+  /// lanes.size() stay zero. Each walk position serves every lane from one
+  /// row, so a position costs one row access rather than one per lane.
+  void dematch_rows(std::span<const std::span<const float>> lanes,
+                    unsigned redundancy_version, float* systematic,
+                    float* parity1, float* parity2) const;
+
  private:
   std::size_t start_index(unsigned rv) const;
 

@@ -4,7 +4,6 @@
 #include <array>
 #include <limits>
 #include <stdexcept>
-#include <type_traits>
 
 #if defined(RTOPEX_SIMD) && defined(__AVX2__)
 #include <immintrin.h>
@@ -398,39 +397,156 @@ void siso_decode_flat(const float* __restrict__ sys_in,
 }
 
 // Batched SoA variant of siso_decode_flat: every buffer holds lane-major
-// rows of kTurboBatchLanes floats ([trellis step][8 states][8 lanes]), and
-// each per-state statement of the flat kernel becomes one row statement
-// whose lane loop is pure vertical arithmetic — lane b performs exactly the
-// operations siso_decode_flat would on block b, in the same association
-// order, so every lane is bit-identical to the scalar kernel by
-// construction. The fixed power-of-two row width keeps the lane loops
-// trivially vectorizable (one AVX2 vector or two NEON vectors per row) with
-// contiguous, shuffle-free loads; the 8-state transition shuffles move
-// whole rows, never elements within a row.
+// rows of kTurboBatchLanes floats, a row of metrics being one 8x8 block
+// ([8 states][8 lanes]), and each per-state statement of the flat kernel
+// becomes one row statement whose lane loop is pure vertical arithmetic —
+// lane b performs exactly the operations siso_decode_flat would on block
+// b, in the same association order, so every lane is bit-identical to the
+// scalar kernel by construction.
 //
-// The four branch metrics of a step are recomputed from its sys/par rows in
-// each sweep (the scalar kernel's expressions, so the same floats): a
-// step's two input rows are half the bytes of its four metric rows, and the
-// recomputation costs four vector ops per step and sweep.
-void siso_decode_flat_batch(const float* sys_in, const float* par_in,
-                            std::size_t k, DecodeWorkspace& ws,
-                            float* app_out) {
-  constexpr std::size_t kL = kTurboBatchLanes;
-  const std::size_t steps = k + 3;
+// The pass keeps no full metric rows. A backward sweep from the terminated
+// end (three tail steps, then the data steps) stores only one checkpoint
+// block per window of kBatchWindow steps: beta at the window's end. Then
+// the windows run in order: each rebuilds its beta blocks from its
+// checkpoint into a one-window buffer that stays in L1, and a forward
+// sweep over the window extracts every LLR as it goes. A recomputed beta
+// block comes from the same operations on the same inputs as in the first
+// sweep, so it is the same floats. A forward step's 16 alpha + gamma sums
+// feed both its LLR, with the reference's (alpha + gamma) + beta
+// association and max-chain order, and the next alpha. The four branch
+// metrics of a step are recomputed from its sys/par rows wherever they are
+// needed (the scalar kernel's expressions, so the same floats).
+//
+// Against storing every alpha block (8 states x 8 lanes x (K+4) floats,
+// 1.57 MB at K = 6144) the window buffer and checkpoints take 16 KB and
+// 24 KB, at the cost of a second backward recursion. Windows of 16, 32 and
+// 64 steps measured the same and 128 slower (EXPERIMENTS.md); 64 keeps the
+// fewest checkpoints of the three.
+constexpr std::size_t kBatchWindow = 64;
+constexpr std::size_t kL = kTurboBatchLanes;
+constexpr std::size_t kBlock = kNumStates * kL;
 
-  grow_buffer(ws.bat_alpha, 8 * (steps + 1) * kL);
-  float* __restrict__ alpha = ws.bat_alpha.data();
+#if defined(RTOPEX_SIMD) && defined(__AVX2__)
+// AVX2 step bodies: each state's eight lanes are one vector, and every max
+// swaps its operands as Lanes8's does. A metric plus g3 = -(x + y) is
+// computed as the metric minus g0: IEEE defines p - q as p + (-q), so the
+// float is the same and g3 needs neither an op nor a register.
+struct BatchGamma {
+  __m256 g0, g1, g2;
+  BatchGamma(const float* sy, const float* pa) {
+    const __m256 half = _mm256_set1_ps(0.5f);
+    const __m256 x = _mm256_mul_ps(half, _mm256_loadu_ps(sy));
+    const __m256 y = _mm256_mul_ps(half, _mm256_loadu_ps(pa));
+    g0 = _mm256_add_ps(x, y);  // u=0, z=0
+    g1 = _mm256_sub_ps(x, y);  // u=0, z=1
+    g2 = _mm256_sub_ps(y, x);  // u=1, z=0
+  }
+};
 
-  // Forward pass over the same transition map as the scalar kernel; branch
-  // metrics indexed (u << 1) | z.
-  for (std::size_t b = 0; b < kL; ++b) alpha[b] = 0.0f;
-  for (std::size_t s = 1; s < 8; ++s)
-    for (std::size_t b = 0; b < kL; ++b) alpha[s * kL + b] = kNegInf;
-  for (std::size_t i = 0; i < steps; ++i) {
-    const float* __restrict__ a = alpha + 8 * i * kL;
-    float* __restrict__ n = alpha + 8 * (i + 1) * kL;
-    const float* __restrict__ sy = sys_in + i * kL;
-    const float* __restrict__ pa = par_in + i * kL;
+inline __m256 vmax(__m256 p, __m256 q) { return _mm256_max_ps(q, p); }
+inline __m256 vadd(__m256 p, __m256 q) { return _mm256_add_ps(p, q); }
+inline __m256 vsub(__m256 p, __m256 q) { return _mm256_sub_ps(p, q); }
+
+// The backward recursion's current block.
+class BatchBeta {
+ public:
+  void start() {
+    m_[0] = _mm256_setzero_ps();
+    for (int s = 1; s < kNumStates; ++s) m_[s] = _mm256_set1_ps(kNegInf);
+  }
+  void load(const float* blk) {
+    for (int s = 0; s < kNumStates; ++s) m_[s] = _mm256_loadu_ps(blk + s * kL);
+  }
+  void store(float* blk) const {
+    for (int s = 0; s < kNumStates; ++s) _mm256_storeu_ps(blk + s * kL, m_[s]);
+  }
+  // beta[i] from beta[i+1] and step i's channel rows.
+  void step(const float* sy, const float* pa) {
+    const BatchGamma g(sy, pa);
+    const __m256 b0 = m_[0], b1 = m_[1], b2 = m_[2], b3 = m_[3];
+    const __m256 b4 = m_[4], b5 = m_[5], b6 = m_[6], b7 = m_[7];
+    m_[0] = vmax(vadd(b0, g.g0), vsub(b1, g.g0));
+    m_[1] = vmax(vadd(b2, g.g1), vadd(b3, g.g2));
+    m_[2] = vmax(vadd(b5, g.g1), vadd(b4, g.g2));
+    m_[3] = vmax(vadd(b7, g.g0), vsub(b6, g.g0));
+    m_[4] = vmax(vadd(b1, g.g0), vsub(b0, g.g0));
+    m_[5] = vmax(vadd(b3, g.g1), vadd(b2, g.g2));
+    m_[6] = vmax(vadd(b4, g.g1), vadd(b5, g.g2));
+    m_[7] = vmax(vadd(b6, g.g0), vsub(b7, g.g0));
+  }
+
+ private:
+  __m256 m_[kNumStates];
+};
+
+// The forward recursion's current block, with the LLR extraction fused.
+class BatchAlpha {
+ public:
+  void start() {
+    m_[0] = _mm256_setzero_ps();
+    for (int s = 1; s < kNumStates; ++s) m_[s] = _mm256_set1_ps(kNegInf);
+  }
+  // Step i's LLR row from (alpha[i], gamma[i], beta[i+1] in block b), then
+  // alpha[i+1].
+  void step(const float* sy, const float* pa, const float* b, float* out) {
+    const BatchGamma g(sy, pa);
+    const __m256 s00 = vadd(m_[0], g.g0), s01 = vsub(m_[0], g.g0);
+    const __m256 s10 = vadd(m_[1], g.g1), s11 = vadd(m_[1], g.g2);
+    const __m256 s20 = vadd(m_[2], g.g1), s21 = vadd(m_[2], g.g2);
+    const __m256 s30 = vadd(m_[3], g.g0), s31 = vsub(m_[3], g.g0);
+    const __m256 s40 = vadd(m_[4], g.g0), s41 = vsub(m_[4], g.g0);
+    const __m256 s50 = vadd(m_[5], g.g1), s51 = vadd(m_[5], g.g2);
+    const __m256 s60 = vadd(m_[6], g.g1), s61 = vadd(m_[6], g.g2);
+    const __m256 s70 = vadd(m_[7], g.g0), s71 = vsub(m_[7], g.g0);
+    const auto beta = [b](int s) { return _mm256_loadu_ps(b + s * kL); };
+    __m256 m0 = vadd(s00, beta(0));
+    m0 = vmax(m0, vadd(s10, beta(2)));
+    m0 = vmax(m0, vadd(s20, beta(5)));
+    m0 = vmax(m0, vadd(s30, beta(7)));
+    m0 = vmax(m0, vadd(s40, beta(1)));
+    m0 = vmax(m0, vadd(s50, beta(3)));
+    m0 = vmax(m0, vadd(s60, beta(4)));
+    m0 = vmax(m0, vadd(s70, beta(6)));
+    __m256 m1 = vadd(s01, beta(1));
+    m1 = vmax(m1, vadd(s11, beta(3)));
+    m1 = vmax(m1, vadd(s21, beta(4)));
+    m1 = vmax(m1, vadd(s31, beta(6)));
+    m1 = vmax(m1, vadd(s41, beta(0)));
+    m1 = vmax(m1, vadd(s51, beta(2)));
+    m1 = vmax(m1, vadd(s61, beta(5)));
+    m1 = vmax(m1, vadd(s71, beta(7)));
+    _mm256_storeu_ps(out, _mm256_sub_ps(m0, m1));
+    m_[0] = vmax(s00, s41);
+    m_[1] = vmax(s01, s40);
+    m_[2] = vmax(s10, s51);
+    m_[3] = vmax(s11, s50);
+    m_[4] = vmax(s21, s60);
+    m_[5] = vmax(s20, s61);
+    m_[6] = vmax(s31, s70);
+    m_[7] = vmax(s30, s71);
+  }
+
+ private:
+  __m256 m_[kNumStates];
+};
+#else
+// Portable step bodies: one lane loop per step over an 8x8 block.
+inline void start_block(float* m) {
+  for (std::size_t b = 0; b < kL; ++b) m[b] = 0.0f;
+  for (std::size_t s = 1; s < kNumStates; ++s)
+    for (std::size_t b = 0; b < kL; ++b) m[s * kL + b] = kNegInf;
+}
+
+// The backward recursion's current block.
+class BatchBeta {
+ public:
+  void start() { start_block(m_); }
+  void load(const float* blk) { std::copy(blk, blk + kBlock, m_); }
+  void store(float* blk) const { std::copy(m_, m_ + kBlock, blk); }
+  // beta[i] from beta[i+1] and step i's channel rows; each lane reads its
+  // old column before writing the new one.
+  void step(const float* __restrict__ sy, const float* __restrict__ pa) {
+    float* __restrict__ m = m_;
     for (std::size_t b = 0; b < kL; ++b) {
       const float x = 0.5f * sy[b];
       const float y = 0.5f * pa[b];
@@ -438,32 +554,34 @@ void siso_decode_flat_batch(const float* sys_in, const float* par_in,
       const float g1 = x - y;     // u=0, z=1
       const float g2 = y - x;     // u=1, z=0
       const float g3 = -(x + y);  // u=1, z=1
-      n[0 * kL + b] = std::max(a[0 * kL + b] + g0, a[4 * kL + b] + g3);
-      n[1 * kL + b] = std::max(a[0 * kL + b] + g3, a[4 * kL + b] + g0);
-      n[2 * kL + b] = std::max(a[1 * kL + b] + g1, a[5 * kL + b] + g2);
-      n[3 * kL + b] = std::max(a[1 * kL + b] + g2, a[5 * kL + b] + g1);
-      n[4 * kL + b] = std::max(a[2 * kL + b] + g2, a[6 * kL + b] + g1);
-      n[5 * kL + b] = std::max(a[2 * kL + b] + g1, a[6 * kL + b] + g2);
-      n[6 * kL + b] = std::max(a[3 * kL + b] + g3, a[7 * kL + b] + g0);
-      n[7 * kL + b] = std::max(a[3 * kL + b] + g0, a[7 * kL + b] + g3);
+      const float b0 = m[0 * kL + b], b1 = m[1 * kL + b];
+      const float b2 = m[2 * kL + b], b3 = m[3 * kL + b];
+      const float b4 = m[4 * kL + b], b5 = m[5 * kL + b];
+      const float b6 = m[6 * kL + b], b7 = m[7 * kL + b];
+      m[0 * kL + b] = std::max(b0 + g0, b1 + g3);
+      m[1 * kL + b] = std::max(b2 + g1, b3 + g2);
+      m[2 * kL + b] = std::max(b5 + g1, b4 + g2);
+      m[3 * kL + b] = std::max(b7 + g0, b6 + g3);
+      m[4 * kL + b] = std::max(b1 + g0, b0 + g3);
+      m[5 * kL + b] = std::max(b3 + g1, b2 + g2);
+      m[6 * kL + b] = std::max(b4 + g1, b5 + g2);
+      m[7 * kL + b] = std::max(b6 + g0, b7 + g3);
     }
   }
 
-  // Backward sweep with fused LLR extraction; beta is one local 8x8 block
-  // (8 states x 8 lanes) updated in place, each lane reading its old column
-  // before writing the new one.
-  alignas(64) float beta[8 * kL];
-  for (std::size_t b = 0; b < kL; ++b) beta[b] = 0.0f;  // terminated trellis
-  for (std::size_t s = 1; s < 8; ++s)
-    for (std::size_t b = 0; b < kL; ++b) beta[s * kL + b] = kNegInf;
-  // Retires beta to step i; for data steps (kExtract) the step's LLR is
-  // first extracted from (alpha[i], gamma[i], beta[i+1]).
-  const auto step = [&](std::size_t i, auto extract) {
-    constexpr bool kExtract = decltype(extract)::value;
-    const float* __restrict__ a = alpha + 8 * i * kL;
-    float* __restrict__ out = kExtract ? app_out + i * kL : nullptr;
-    const float* __restrict__ sy = sys_in + i * kL;
-    const float* __restrict__ pa = par_in + i * kL;
+ private:
+  alignas(32) float m_[kBlock];
+};
+
+// The forward recursion's current block, with the LLR extraction fused.
+class BatchAlpha {
+ public:
+  void start() { start_block(m_); }
+  // Step i's LLR row from (alpha[i], gamma[i], beta[i+1] in block bt),
+  // then alpha[i+1].
+  void step(const float* __restrict__ sy, const float* __restrict__ pa,
+            const float* __restrict__ bt, float* __restrict__ out) {
+    float* __restrict__ m = m_;
     for (std::size_t b = 0; b < kL; ++b) {
       const float x = 0.5f * sy[b];
       const float y = 0.5f * pa[b];
@@ -471,41 +589,102 @@ void siso_decode_flat_batch(const float* sys_in, const float* par_in,
       const float g1 = x - y;
       const float g2 = y - x;
       const float g3 = -(x + y);
-      const float b0 = beta[0 * kL + b], b1 = beta[1 * kL + b];
-      const float b2 = beta[2 * kL + b], b3 = beta[3 * kL + b];
-      const float b4 = beta[4 * kL + b], b5 = beta[5 * kL + b];
-      const float b6 = beta[6 * kL + b], b7 = beta[7 * kL + b];
-      if constexpr (kExtract) {
-        float m0 = (a[0 * kL + b] + g0) + b0;
-        m0 = std::max(m0, (a[1 * kL + b] + g1) + b2);
-        m0 = std::max(m0, (a[2 * kL + b] + g1) + b5);
-        m0 = std::max(m0, (a[3 * kL + b] + g0) + b7);
-        m0 = std::max(m0, (a[4 * kL + b] + g0) + b1);
-        m0 = std::max(m0, (a[5 * kL + b] + g1) + b3);
-        m0 = std::max(m0, (a[6 * kL + b] + g1) + b4);
-        m0 = std::max(m0, (a[7 * kL + b] + g0) + b6);
-        float m1 = (a[0 * kL + b] + g3) + b1;
-        m1 = std::max(m1, (a[1 * kL + b] + g2) + b3);
-        m1 = std::max(m1, (a[2 * kL + b] + g2) + b4);
-        m1 = std::max(m1, (a[3 * kL + b] + g3) + b6);
-        m1 = std::max(m1, (a[4 * kL + b] + g3) + b0);
-        m1 = std::max(m1, (a[5 * kL + b] + g2) + b2);
-        m1 = std::max(m1, (a[6 * kL + b] + g2) + b5);
-        m1 = std::max(m1, (a[7 * kL + b] + g3) + b7);
-        out[b] = m0 - m1;
-      }
-      beta[0 * kL + b] = std::max(b0 + g0, b1 + g3);
-      beta[1 * kL + b] = std::max(b2 + g1, b3 + g2);
-      beta[2 * kL + b] = std::max(b5 + g1, b4 + g2);
-      beta[3 * kL + b] = std::max(b7 + g0, b6 + g3);
-      beta[4 * kL + b] = std::max(b1 + g0, b0 + g3);
-      beta[5 * kL + b] = std::max(b3 + g1, b2 + g2);
-      beta[6 * kL + b] = std::max(b4 + g1, b5 + g2);
-      beta[7 * kL + b] = std::max(b6 + g0, b7 + g3);
+      const float s00 = m[0 * kL + b] + g0, s01 = m[0 * kL + b] + g3;
+      const float s10 = m[1 * kL + b] + g1, s11 = m[1 * kL + b] + g2;
+      const float s20 = m[2 * kL + b] + g1, s21 = m[2 * kL + b] + g2;
+      const float s30 = m[3 * kL + b] + g0, s31 = m[3 * kL + b] + g3;
+      const float s40 = m[4 * kL + b] + g0, s41 = m[4 * kL + b] + g3;
+      const float s50 = m[5 * kL + b] + g1, s51 = m[5 * kL + b] + g2;
+      const float s60 = m[6 * kL + b] + g1, s61 = m[6 * kL + b] + g2;
+      const float s70 = m[7 * kL + b] + g0, s71 = m[7 * kL + b] + g3;
+      float m0 = s00 + bt[0 * kL + b];
+      m0 = std::max(m0, s10 + bt[2 * kL + b]);
+      m0 = std::max(m0, s20 + bt[5 * kL + b]);
+      m0 = std::max(m0, s30 + bt[7 * kL + b]);
+      m0 = std::max(m0, s40 + bt[1 * kL + b]);
+      m0 = std::max(m0, s50 + bt[3 * kL + b]);
+      m0 = std::max(m0, s60 + bt[4 * kL + b]);
+      m0 = std::max(m0, s70 + bt[6 * kL + b]);
+      float m1 = s01 + bt[1 * kL + b];
+      m1 = std::max(m1, s11 + bt[3 * kL + b]);
+      m1 = std::max(m1, s21 + bt[4 * kL + b]);
+      m1 = std::max(m1, s31 + bt[6 * kL + b]);
+      m1 = std::max(m1, s41 + bt[0 * kL + b]);
+      m1 = std::max(m1, s51 + bt[2 * kL + b]);
+      m1 = std::max(m1, s61 + bt[5 * kL + b]);
+      m1 = std::max(m1, s71 + bt[7 * kL + b]);
+      out[b] = m0 - m1;
+      m[0 * kL + b] = std::max(s00, s41);
+      m[1 * kL + b] = std::max(s01, s40);
+      m[2 * kL + b] = std::max(s10, s51);
+      m[3 * kL + b] = std::max(s11, s50);
+      m[4 * kL + b] = std::max(s21, s60);
+      m[5 * kL + b] = std::max(s20, s61);
+      m[6 * kL + b] = std::max(s31, s70);
+      m[7 * kL + b] = std::max(s30, s71);
     }
-  };
-  for (std::size_t i = steps; i-- > k;) step(i, std::false_type{});
-  for (std::size_t i = k; i-- > 0;) step(i, std::true_type{});
+  }
+
+ private:
+  alignas(32) float m_[kBlock];
+};
+#endif
+
+// One SISO pass over K data rows (sys, par) and the 3 tail rows (tail_sys,
+// tail_par), all lane-major. Transition map as in siso_decode_flat.
+void siso_decode_flat_batch(const float* sys, const float* par,
+                            const float* tail_sys, const float* tail_par,
+                            std::size_t k, DecodeWorkspace& ws,
+                            float* app_out) {
+  const std::size_t windows = (k + kBatchWindow - 1) / kBatchWindow;
+  grow_buffer(ws.bat_beta, (kBatchWindow + windows) * kBlock);
+  float* const win = ws.bat_beta.data();
+  float* const ckpt = win + kBatchWindow * kBlock;
+
+  // Backward sweep: ckpt block w is beta at window w's end, min((w+1)W, K).
+  BatchBeta beta;
+  beta.start();  // terminated trellis
+  for (std::size_t t = 3; t-- > 0;)
+    beta.step(tail_sys + t * kL, tail_par + t * kL);
+  beta.store(ckpt + (windows - 1) * kBlock);
+  for (std::size_t i = k; i-- > kBatchWindow;) {
+    beta.step(sys + i * kL, par + i * kL);
+    if (i % kBatchWindow == 0)
+      beta.store(ckpt + (i / kBatchWindow - 1) * kBlock);
+  }
+
+  // Forward sweep, window by window: win block j is beta[w0 + 1 + j].
+  BatchAlpha alpha;
+  alpha.start();
+  for (std::size_t w = 0; w < windows; ++w) {
+    const std::size_t w0 = w * kBatchWindow;
+    const std::size_t len = std::min(kBatchWindow, k - w0);
+    beta.load(ckpt + w * kBlock);
+    beta.store(win + (len - 1) * kBlock);
+    for (std::size_t j = len - 1; j-- > 0;) {
+      beta.step(sys + (w0 + 1 + j) * kL, par + (w0 + 1 + j) * kL);
+      beta.store(win + j * kBlock);
+    }
+    for (std::size_t j = 0; j < len; ++j) {
+      const std::size_t i = w0 + j;
+      alpha.step(sys + i * kL, par + i * kL, win + j * kBlock,
+                 app_out + i * kL);
+    }
+  }
+}
+
+// Bit b set where lane b of an a-posteriori row is negative (the hard
+// decision 1): the scalar decoder's app < 0.0f per lane, NaN and -0 give 0.
+inline unsigned negative_lanes(const float* row) {
+#if defined(RTOPEX_SIMD) && defined(__AVX2__)
+  return static_cast<unsigned>(_mm256_movemask_ps(_mm256_cmp_ps(
+      _mm256_loadu_ps(row), _mm256_setzero_ps(), _CMP_LT_OQ)));
+#else
+  unsigned mask = 0;
+  for (std::size_t b = 0; b < kL; ++b)
+    mask |= static_cast<unsigned>(row[b] < 0.0f) << b;
+  return mask;
+#endif
 }
 
 // One lane row of a SISO input: the channel row plus the other decoder's
@@ -516,7 +695,7 @@ inline void add_extrinsic_row(float* __restrict__ out,
                               const float* __restrict__ channel,
                               const float* __restrict__ app,
                               const float* __restrict__ in) {
-  for (std::size_t b = 0; b < kTurboBatchLanes; ++b)
+  for (std::size_t b = 0; b < kL; ++b)
     out[b] = channel[b] + (app[b] - in[b]);
 }
 
@@ -649,80 +828,39 @@ void TurboDecoder::decode_into(
 }
 
 void TurboDecoder::decode_batch_into(
-    std::span<const TurboBatchLane> lanes, DecodeWorkspace& ws,
+    const TurboBatchRows& rows, std::size_t n, DecodeWorkspace& ws,
     const std::function<bool(std::size_t lane,
                              std::span<const std::uint8_t>)>& crc_check,
     unsigned max_iterations_override) const {
-  constexpr std::size_t kL = kTurboBatchLanes;
   const std::size_t k = interleaver_.size();
-  const std::size_t n = lanes.size();
   if (n == 0 || n > kL)
     throw std::invalid_argument("decode_batch_into: 1..8 lanes required");
-  for (const TurboBatchLane& lane : lanes)
-    if (lane.systematic.size() != k + 4 || lane.parity1.size() != k + 4 ||
-        lane.parity2.size() != k + 4)
-      throw std::invalid_argument("TurboDecoder: bad stream length");
+  if (!rows.systematic || !rows.parity1 || !rows.parity2)
+    throw std::invalid_argument("decode_batch_into: null channel rows");
 
-  grow_buffer(ws.bat_sysc, k * kL);
-  grow_buffer(ws.bat_sys1, (k + 3) * kL);
-  grow_buffer(ws.bat_par1, (k + 3) * kL);
-  grow_buffer(ws.bat_sys2, (k + 3) * kL);
-  grow_buffer(ws.bat_par2, (k + 3) * kL);
+  grow_buffer(ws.bat_sys1, k * kL);
+  grow_buffer(ws.bat_sys2, k * kL);
   grow_buffer(ws.bat_app, k * kL);
   grow_buffer(ws.bat_bits, k * kL);
   grow_buffer(ws.bat_signs, k);
-  float* __restrict__ sysc = ws.bat_sysc.data();
+  const float* __restrict__ sysc = rows.systematic;
+  const float* __restrict__ par1 = rows.parity1;
+  const float* __restrict__ par2 = rows.parity2;
   float* __restrict__ sys1 = ws.bat_sys1.data();
-  float* __restrict__ par1 = ws.bat_par1.data();
   float* __restrict__ sys2 = ws.bat_sys2.data();
-  float* __restrict__ par2 = ws.bat_par2.data();
   float* __restrict__ app = ws.bat_app.data();
   std::uint8_t* __restrict__ signs = ws.bat_signs.data();
 
-  // Transpose the lane streams into lane-major rows in 8x8 tiles (eight
-  // positions of eight lanes); ragged tail lanes are zero-filled, which
-  // keeps their metrics finite (the kNegInf arithmetic never overflows) and
-  // their extrinsics identically zero — padding costs no masking anywhere in
-  // the hot loops.
-  const auto transpose = [&](auto stream, float* __restrict__ rows) {
-    std::size_t i0 = 0;
-    for (; i0 + 8 <= k; i0 += 8) {
-      float tile[kL][8] = {};
-      for (std::size_t b = 0; b < n; ++b) {
-        const float* __restrict__ src = (lanes[b].*stream).data() + i0;
-        for (std::size_t j = 0; j < 8; ++j) tile[b][j] = src[j];
-      }
-      for (std::size_t j = 0; j < 8; ++j)
-        for (std::size_t b = 0; b < kL; ++b)
-          rows[(i0 + j) * kL + b] = tile[b][j];
-    }
-    for (; i0 < k; ++i0)
-      for (std::size_t b = 0; b < kL; ++b)
-        rows[i0 * kL + b] = b < n ? (lanes[b].*stream)[i0] : 0.0f;
-  };
-  transpose(&TurboBatchLane::systematic, sysc);
-  transpose(&TurboBatchLane::parity1, par1);
-  transpose(&TurboBatchLane::parity2, par2);
-  // Tail rows, unpacked exactly as decode_into (see encoder packing).
-  for (std::size_t i = 0; i < 3; ++i) {
-    float* s1 = sys1 + (k + i) * kL;
-    float* p1 = par1 + (k + i) * kL;
-    float* s2 = sys2 + (k + i) * kL;
-    float* p2 = par2 + (k + i) * kL;
-    for (std::size_t b = 0; b < kL; ++b) s1[b] = p1[b] = s2[b] = p2[b] = 0.0f;
-    for (std::size_t b = 0; b < n; ++b) {
-      s1[b] = lanes[b].systematic[k + i];
-      p1[b] = lanes[b].parity1[k + i];
-    }
-  }
-  for (std::size_t b = 0; b < n; ++b) {
-    sys2[(k + 0) * kL + b] = lanes[b].systematic[k + 3];
-    sys2[(k + 1) * kL + b] = lanes[b].parity2[k];
-    sys2[(k + 2) * kL + b] = lanes[b].parity2[k + 1];
-    par2[(k + 0) * kL + b] = lanes[b].parity1[k + 3];
-    par2[(k + 1) * kL + b] = lanes[b].parity2[k + 2];
-    par2[(k + 2) * kL + b] = lanes[b].parity2[k + 3];
-  }
+  // SISO 1 reads its parity and both tails straight from the channel rows
+  // (rows K..K+2). SISO 2's tail rows are unpacked into a block of their
+  // own, exactly as decode_into unpacks them (see encoder packing): sys2
+  // tail x'_K, x'_K+1, x'_K+2, then par2 tail z'_K, z'_K+1, z'_K+2.
+  alignas(32) float tail2[2 * 3 * kL];
+  const float* const tail2_src[6] = {sysc + (k + 3) * kL, par2 + k * kL,
+                                     par2 + (k + 1) * kL, par1 + (k + 3) * kL,
+                                     par2 + (k + 2) * kL, par2 + (k + 3) * kL};
+  for (std::size_t r = 0; r < 6; ++r)
+    std::copy(tail2_src[r], tail2_src[r] + kL, tail2 + r * kL);
 
   for (std::size_t b = 0; b < n; ++b) {
     std::uint8_t* bits = ws.bat_bits.data() + b * k;
@@ -746,8 +884,9 @@ void TurboDecoder::decode_batch_into(
   // scalar decoder's zeroed buffer does (-0.0f + 0.0f is +0.0f).
   for (std::size_t i = 0; i < k * kL; ++i) sys1[i] = sysc[i] + 0.0f;
   for (unsigned iter = 1; iter <= lm && num_active > 0; ++iter) {
-    // --- SISO 1 (rows 0..k-1 are contiguous: one flat vertical pass) ---
-    siso_decode_flat_batch(sys1, par1, k, ws, app);
+    // --- SISO 1 ---
+    siso_decode_flat_batch(sys1, par1, sysc + k * kL, par1 + k * kL, k, ws,
+                           app);
 
     // --- SISO 2 (interleaved domain; the gather moves whole rows, so each
     // QPP lookup serves all 8 lanes with contiguous row loads). Its input
@@ -756,7 +895,7 @@ void TurboDecoder::decode_batch_into(
       const std::size_t src = fwd[i] * kL;
       add_extrinsic_row(sys2 + i * kL, sysc + src, app + src, sys1 + src);
     }
-    siso_decode_flat_batch(sys2, par2, k, ws, app);
+    siso_decode_flat_batch(sys2, par2, tail2, tail2 + 3 * kL, k, ws, app);
     // The scatter writes the next SISO 1 input, the channel plus extrinsic
     // 2 (app - sys2), and takes every lane's hard decision at once: bit b
     // of signs[j] is lane b's decision for data position j.
@@ -764,10 +903,7 @@ void TurboDecoder::decode_batch_into(
       const std::size_t src = fwd[i];
       const float* ap = app + i * kL;
       add_extrinsic_row(sys1 + src * kL, sysc + src * kL, ap, sys2 + i * kL);
-      unsigned mask = 0;
-      for (std::size_t b = 0; b < kL; ++b)
-        mask |= static_cast<unsigned>(ap[b] < 0.0f) << b;
-      signs[src] = static_cast<std::uint8_t>(mask);
+      signs[src] = static_cast<std::uint8_t>(negative_lanes(ap));
     }
 
     // Expand and CRC-check each still-active lane; a lane whose CRC passes
@@ -787,6 +923,35 @@ void TurboDecoder::decode_batch_into(
       }
     }
   }
+}
+
+void TurboDecoder::decode_batch_into(
+    std::span<const TurboBatchLane> lanes, DecodeWorkspace& ws,
+    const std::function<bool(std::size_t lane,
+                             std::span<const std::uint8_t>)>& crc_check,
+    unsigned max_iterations_override) const {
+  const std::size_t kd = interleaver_.size() + 4;
+  const std::size_t n = lanes.size();
+  if (n == 0 || n > kL)
+    throw std::invalid_argument("decode_batch_into: 1..8 lanes required");
+  for (const TurboBatchLane& lane : lanes)
+    if (lane.systematic.size() != kd || lane.parity1.size() != kd ||
+        lane.parity2.size() != kd)
+      throw std::invalid_argument("TurboDecoder: bad stream length");
+
+  grow_buffer(ws.bat_rows, 3 * kd * kL);
+  float* const rows = ws.bat_rows.data();
+  const auto fill = [&](auto stream, float* block) {
+    for (std::size_t i = 0; i < kd; ++i)
+      for (std::size_t b = 0; b < kL; ++b)
+        block[i * kL + b] = b < n ? (lanes[b].*stream)[i] : 0.0f;
+  };
+  fill(&TurboBatchLane::systematic, rows);
+  fill(&TurboBatchLane::parity1, rows + kd * kL);
+  fill(&TurboBatchLane::parity2, rows + 2 * kd * kL);
+  decode_batch_into(
+      TurboBatchRows{rows, rows + kd * kL, rows + 2 * kd * kL}, n, ws,
+      crc_check, max_iterations_override);
 }
 
 TurboDecodeResult TurboDecoder::decode_reference(

@@ -65,6 +65,17 @@ struct TurboBatchLane {
   std::span<const float> parity2;
 };
 
+/// The channel LLRs of a batched decode in lane-major rows: three blocks of
+/// K + 4 rows (systematic, parity 1, parity 2, each packed like
+/// TurboCodeword), where element [i * kTurboBatchLanes + b] is position i
+/// of lane b. This is the layout RateMatcher::dematch_rows writes; lanes
+/// past the batch's width must hold zeros.
+struct TurboBatchRows {
+  const float* systematic;
+  const float* parity1;
+  const float* parity2;
+};
+
 class TurboDecoder {
  public:
   /// `max_iterations` is the paper's Lm (default 4, as in §2.1).
@@ -104,14 +115,15 @@ class TurboDecoder {
       const std::function<bool(std::span<const std::uint8_t>)>& crc_check = {},
       unsigned max_iterations_override = 0) const;
 
-  /// Batched SoA decode of 1..kTurboBatchLanes code blocks: the state
-  /// metrics live in lane-major rows ([trellis step][8 states][8 lanes]) so
-  /// one forward/backward sweep advances every block with vertical,
-  /// per-lane-independent arithmetic. Because each lane performs exactly
-  /// the operations of decode_into in the same association order, every
-  /// lane's hard decisions, iteration count and early-termination flag are
-  /// bit-identical to a scalar decode_into of that block alone (asserted by
-  /// the kernel differential tests, including ragged tails of 1..7 lanes).
+  /// Batched SoA decode of 1..kTurboBatchLanes code blocks from their
+  /// lane-major channel rows (read only, so repeated decodes of the same
+  /// rows see the same inputs): the state metrics advance every block per
+  /// trellis step with vertical, per-lane-independent arithmetic. Because
+  /// each lane performs exactly the operations of decode_into in the same
+  /// association order, every lane's hard decisions, iteration count and
+  /// early-termination flag are bit-identical to a scalar decode_into of
+  /// that block alone (asserted by the kernel differential tests, including
+  /// ragged tails of 1..7 lanes).
   ///
   /// `crc_check` (may be empty) is called per lane after every iteration;
   /// a lane whose CRC passes is frozen — its outputs stop updating — while
@@ -121,6 +133,14 @@ class TurboDecoder {
   /// Results land in ws.bat_bits (lane b occupies [b*K, (b+1)*K)),
   /// ws.bat_iterations[b] and ws.bat_early_terminated[b]. All scratch is
   /// grow-only workspace state: zero allocations once warm.
+  void decode_batch_into(
+      const TurboBatchRows& rows, std::size_t lanes, DecodeWorkspace& ws,
+      const std::function<bool(std::size_t lane,
+                               std::span<const std::uint8_t>)>& crc_check = {},
+      unsigned max_iterations_override = 0) const;
+
+  /// The same decode from per-lane streams: fills ws.bat_rows with their
+  /// lane-major rows, then runs the row form above.
   void decode_batch_into(
       std::span<const TurboBatchLane> lanes, DecodeWorkspace& ws,
       const std::function<bool(std::size_t lane,

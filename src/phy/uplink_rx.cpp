@@ -223,11 +223,13 @@ void UplinkRxProcessor::begin(Job& job,
   // 12 * nsc * qm soft bits before anything reads them.
   job.llrs.resize(job.equalized.size() * modulation_order(mcs));
   // Reset per-block results without freeing their bit buffers: a reused job
-  // decoding the same MCS every subframe must not reallocate here.
-  const std::size_t c = impl_->per_mcs[mcs].layout.e_bits.size();
-  job.cb_results.resize(c);
+  // decoding the same MCS every subframe must not reallocate here. Each
+  // buffer is sized for its block now, so the decode stage never allocates.
+  const CodeBlockLayout& layout = impl_->per_mcs[mcs].layout;
+  job.cb_results.resize(layout.e_bits.size());
   for (auto& cb : job.cb_results) {
     cb.bits.clear();
+    cb.bits.reserve(layout.block_size);
     cb.iterations = 0;
     cb.crc_ok = false;
   }
@@ -406,9 +408,9 @@ void UplinkRxProcessor::run_decode_batch(Job& job, DecodeWorkspace& ws) const {
 
 void UplinkRxProcessor::run_decode_batch(std::span<Job* const> jobs,
                                          DecodeWorkspace& ws) const {
-  constexpr std::size_t kMaxJobs = 16;
+  constexpr std::size_t kMaxJobs = kMaxBatchJobs;
   constexpr std::size_t kL = kTurboBatchLanes;
-  constexpr std::size_t kScalarMaxLanes = 5;
+  constexpr std::size_t kScalarMaxLanes = 3;
   if (jobs.empty() || jobs.size() > kMaxJobs)
     throw std::invalid_argument("run_decode_batch: 1..16 jobs required");
 
@@ -454,9 +456,9 @@ void UplinkRxProcessor::run_decode_batch(std::span<Job* const> jobs,
     for (std::size_t g0 = 0; g0 < ws.bat_group.size(); g0 += kL) {
       const std::size_t lanes_n = std::min(kL, ws.bat_group.size() - g0);
       // The SoA sweep costs a full 8-lane pass regardless of fill (ragged
-      // lanes are padded): about 5.2 scalar blocks' worth (Release + SIMD,
+      // lanes are padded): about 3.3 scalar blocks' worth (Release + SIMD,
       // BM_TurboDecodeBatch/6144/1 over BM_TurboDecode/6144/1 in one
-      // process, median of nine runs 5.15, quartiles 4.99-5.41). Groups
+      // process, median of nine runs 3.25, quartiles 3.21-3.34). Groups
       // of at most kScalarMaxLanes blocks are cheaper through the scalar
       // decoder, which is bit-identical (the batch differential tests
       // assert exactly that), so this is a pure cost decision.
@@ -467,8 +469,15 @@ void UplinkRxProcessor::run_decode_batch(std::span<Job* const> jobs,
         }
         continue;
       }
-      grow_buffer(ws.bat_in, kL * 3 * kd);
-      std::array<TurboBatchLane, kL> lanes{};
+      // All lanes' streams are dematched at once, straight into the
+      // decoder's lane-major channel rows (lane b in column b; ragged lanes
+      // hold zeros). Blocks of equal K share one rate matcher.
+      const std::size_t block = kd * kL;
+      grow_buffer(ws.bat_rows, 3 * block);
+      float* const rows[3] = {ws.bat_rows.data(), ws.bat_rows.data() + block,
+                              ws.bat_rows.data() + 2 * block};
+      std::array<std::span<const float>, kL> lane_llrs{};
+      const RateMatcher* matcher = nullptr;
       // Per-lane CRC identity: one pointer capture keeps the std::function
       // within libstdc++'s small-object buffer — no heap allocation.
       struct LaneCrc {
@@ -481,16 +490,14 @@ void UplinkRxProcessor::run_decode_batch(std::span<Job* const> jobs,
         const Job& job = *jobs[pair >> 16];
         const std::size_t blk = pair & 0xFFFF;
         const McsContext& ctx = impl_->per_mcs[job.mcs];
-        float* base = ws.bat_in.data() + b * 3 * kd;
-        const std::span<float> sys(base, kd);
-        const std::span<float> par1(base + kd, kd);
-        const std::span<float> par2(base + 2 * kd, kd);
-        const std::span<const float> cb_llrs(
+        lane_llrs[b] = std::span<const float>(
             job.llrs.data() + ctx.e_offsets[blk], ctx.layout.e_bits[blk]);
-        ctx.matcher->dematch_into(cb_llrs, 0, sys, par1, par2);
-        lanes[b] = {sys, par1, par2};
+        matcher = ctx.matcher.get();
         lane_crc[b] = {ctx.layout.e_bits.size() > 1, ctx.layout.filler_bits};
       }
+      matcher->dematch_rows(
+          std::span<const std::span<const float>>(lane_llrs.data(), lanes_n),
+          0, rows[0], rows[1], rows[2]);
       const LaneCrc* lc = lane_crc.data();
       const std::function<bool(std::size_t, std::span<const std::uint8_t>)>
           crc_check = [lc](std::size_t lane,
@@ -498,9 +505,8 @@ void UplinkRxProcessor::run_decode_batch(std::span<Job* const> jobs,
             if (lc[lane].segmented) return check_crc24(bits, CrcKind::kB);
             return check_crc24(bits.subspan(lc[lane].filler), CrcKind::kA);
           };
-      decoder->decode_batch_into(
-          std::span<const TurboBatchLane>(lanes.data(), lanes_n), ws,
-          crc_check, key.cap);
+      decoder->decode_batch_into(TurboBatchRows{rows[0], rows[1], rows[2]},
+                                 lanes_n, ws, crc_check, key.cap);
       for (std::size_t b = 0; b < lanes_n; ++b) {
         const std::uint32_t pair = ws.bat_group[g0 + b];
         Job& job = *jobs[pair >> 16];
@@ -515,6 +521,51 @@ void UplinkRxProcessor::run_decode_batch(std::span<Job* const> jobs,
       }
     }
   }
+}
+
+unsigned UplinkRxProcessor::largest_block_mcs(
+    std::span<const unsigned> mcs_set) const {
+  if (mcs_set.empty())
+    throw std::invalid_argument("largest_block_mcs: empty MCS set");
+  unsigned best = mcs_set.front();
+  for (const unsigned mcs : mcs_set) {
+    if (mcs > kMaxMcs) throw std::out_of_range("largest_block_mcs: mcs > 27");
+    if (impl_->per_mcs[mcs].layout.block_size >
+        impl_->per_mcs[best].layout.block_size)
+      best = mcs;
+  }
+  return best;
+}
+
+void UplinkRxProcessor::prewarm(DecodeWorkspace& ws,
+                                std::span<const IqVector> antenna_samples,
+                                unsigned mcs,
+                                std::uint32_t subframe_index) const {
+  Job job = make_job();
+  UplinkRxResult result;
+  begin(job, antenna_samples, mcs, subframe_index);
+  for (std::size_t i = 0; i < fft_subtask_count(); ++i)
+    run_fft_subtask(job, i, ws);
+  demod_prepare(job);
+  for (std::size_t i = 0; i < demod_subtask_count(); ++i)
+    run_demod_subtask(job, i);
+  decode_prepare(job, ws);
+  // Enough copies of the job for one full 8-lane group at this K (the
+  // copies' results overwrite each other); a remainder group, if any, goes
+  // through the scalar decoder, and so does the explicit subtask below.
+  const std::size_t c = decode_subtask_count(job);
+  std::array<Job*, kTurboBatchLanes> copies;
+  copies.fill(&job);
+  run_decode_batch(std::span<Job* const>(copies.data(),
+                                         (kTurboBatchLanes + c - 1) / c),
+                   ws);
+  run_decode_subtask(job, 0, ws);
+  finalize_into(job, ws, result);
+
+  std::size_t max_blocks = 0;
+  for (const McsContext& ctx : impl_->per_mcs)
+    max_blocks = std::max(max_blocks, ctx.layout.e_bits.size());
+  ws.bat_group.reserve(kMaxBatchJobs * max_blocks);
 }
 
 UplinkRxResult UplinkRxProcessor::finalize(Job& job) const {

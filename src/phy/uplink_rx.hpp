@@ -117,8 +117,24 @@ class UplinkRxProcessor {
   /// by (block size, iteration cap) so blocks from different basestations
   /// fill out SoA lanes that a single subframe would leave empty (a batch
   /// SISO pass costs the same whether 3 or 8 lanes carry real blocks).
-  /// decode_prepare must already have run on each job. At most 16 jobs.
+  /// decode_prepare must already have run on each job. At most
+  /// kMaxBatchJobs jobs.
   void run_decode_batch(std::span<Job* const> jobs, DecodeWorkspace& ws) const;
+  static constexpr std::size_t kMaxBatchJobs = 16;
+
+  // --- Workspace pre-warm ---
+  /// The MCS in `mcs_set` with the largest code blocks (the first of
+  /// equals): the one a workspace pre-warm must decode. K does not grow
+  /// with MCS: at 10 MHz, MCS 27 has K = 5312 while MCS 26 has 6080.
+  unsigned largest_block_mcs(std::span<const unsigned> mcs_set) const;
+  /// Grows `ws` to its working size for subframes whose blocks are no
+  /// larger than those of the given one (pick it with largest_block_mcs),
+  /// so that neither decode path grows it later: the full chain once, its
+  /// blocks through run_decode_batch as one full 8-lane batch (repeating
+  /// the subframe as needed), one block through run_decode_subtask, and the
+  /// grouping scratch for a kMaxBatchJobs span of any MCS.
+  void prewarm(DecodeWorkspace& ws, std::span<const IqVector> antenna_samples,
+               unsigned mcs, std::uint32_t subframe_index) const;
 
   // --- Finalize ---
   UplinkRxResult finalize(Job& job) const;

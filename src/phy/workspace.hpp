@@ -86,14 +86,21 @@ struct DecodeWorkspace {
 
   // --- Batched SoA turbo decoder scratch (decode_batch_into). All float
   // buffers hold lane-major rows of kTurboBatchLanes: element [i*8 + b] is
-  // trellis position i of lane (code block) b. Sizes below are per lane.
-  std::vector<float> bat_in;        ///< dematcher output, lane-contiguous
-                                    ///< (3 streams of K+4 per lane).
-  std::vector<float> bat_sysc;      ///< channel systematic rows (K).
-  std::vector<float> bat_sys1, bat_par1;  ///< SISO 1 input rows (K+3).
-  std::vector<float> bat_sys2, bat_par2;  ///< SISO 2 input rows (K+3).
+  // trellis position i of lane (code block) b. Sizes below are in rows; at
+  // K = 6144 the whole set is about 1.3 MB, inside a 2 MB L2.
+  std::vector<float> bat_rows;      ///< channel rows: systematic, parity 1
+                                    ///< and parity 2 blocks of K+4 rows
+                                    ///< each, written by
+                                    ///< RateMatcher::dematch_rows; the
+                                    ///< decoder only reads them.
+  std::vector<float> bat_sys1, bat_sys2;  ///< SISO 1/2 systematic input
+                                          ///< rows (K); parities and SISO
+                                          ///< 1's tails are bat_rows rows.
   std::vector<float> bat_app;       ///< SISO a-posteriori rows (K).
-  std::vector<float> bat_alpha;     ///< forward-metric rows (8*(K+4)).
+  std::vector<float> bat_beta;      ///< backward metrics, 8 rows (one 8x8
+                                    ///< block) per step: one window of 64
+                                    ///< steps, then one checkpoint block per
+                                    ///< window (ceil(K/64)).
   std::vector<std::uint8_t> bat_bits;  ///< lane-contiguous decisions (K per
                                        ///< lane, lane b at [b*K, (b+1)*K)).
   std::vector<std::uint8_t> bat_signs;  ///< per-position decision masks (K):

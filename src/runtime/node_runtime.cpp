@@ -316,28 +316,17 @@ struct NodeRuntime::Impl {
   }
 
   /// Grows a pool workspace to its working size before the schedule
-  /// starts: one full dummy decode of the highest-MCS variant through the
-  /// explicit-workspace overloads, including the SoA batch-decode buffers.
+  /// starts, by UplinkRxProcessor::prewarm on the variant with the largest
+  /// code blocks (not the highest MCS: K does not grow with MCS), so both
+  /// the batched and the per-block decoder reach their high-water marks.
   /// Runs on the pool's node-pinned warmer threads, so first touch places
   /// the pages on the worker's NUMA node. (Per-c_init scramble sequences
   /// for basestations other than 0 still generate lazily on their first
   /// subframe — a few hundred bytes each, bounded by the LRU cache.)
   void prewarm_workspace(phy::DecodeWorkspace& ws) {
-    phy::UplinkRxJob job = rx->make_job();
-    phy::UplinkRxResult result;
-    const RxVariant* worst = nullptr;
-    for (const auto& v : variants[0])
-      if (!worst || v.mcs > worst->mcs) worst = &v;
-    rx->begin(job, worst->antenna_samples, worst->mcs,
-              worst->tx_subframe_index);
-    for (std::size_t i = 0; i < rx->fft_subtask_count(); ++i)
-      rx->run_fft_subtask(job, i, ws);
-    rx->demod_prepare(job);
-    for (std::size_t i = 0; i < rx->demod_subtask_count(); ++i)
-      rx->run_demod_subtask(job, i);
-    rx->decode_prepare(job, ws);
-    rx->run_decode_batch(job, ws);
-    rx->finalize_into(job, ws, result);
+    const RxVariant& v =
+        variant_for(0, rx->largest_block_mcs(config.mcs_cycle));
+    rx->prewarm(ws, v.antenna_samples, v.mcs, v.tx_subframe_index);
   }
 
   unsigned partitioned_worker(unsigned bs, std::uint32_t index) const {

@@ -376,13 +376,18 @@ TEST(TurboBatchDifferentialTest, AllBatchWidthsMatchScalarExactly) {
                                ws);
 }
 
-// Block sizes spanning the MCS classes (tiny blocks to the 6144 maximum,
-// plus K = 100, which is not a multiple of the 8-position transpose tile),
-// free-running and iteration-capped (degraded mode), full batches.
+// Block sizes spanning the MCS classes (tiny blocks to the 6144 maximum),
+// free-running and iteration-capped (degraded mode), full batches. The
+// batched SISO walks its forward sweep in windows of 64 steps, rebuilding
+// each window's backward metrics from a checkpoint, so the sizes also sit
+// on the window edges: one window short of full (56), exactly one (64),
+// one plus an 8-step window (72), exactly two (128), a last window of 8
+// steps after six full ones (392), and a ragged last window (100).
 TEST(TurboBatchDifferentialTest, BlockSizesAndCapsMatchScalarExactly) {
   const double snrs[] = {4.0, -2.0, 1.0, -5.0, 7.0, 0.5, -1.5, 3.0};
   DecodeWorkspace ws;
-  for (const std::size_t k : {40u, 100u, 104u, 512u, 2048u, 6144u}) {
+  for (const std::size_t k : {40u, 56u, 64u, 72u, 100u, 104u, 128u, 392u,
+                              512u, 2048u, 6144u}) {
     check_batch_against_scalar(k, kTurboBatchLanes, /*lm=*/4, /*cap=*/0,
                                /*with_crc=*/false, 1200 + k, snrs, ws);
     check_batch_against_scalar(k, kTurboBatchLanes, /*lm=*/4, /*cap=*/2,
@@ -595,6 +600,51 @@ TEST(RateMatchKernelDifferentialTest, DematchIntoMatchesDematchExactly) {
       EXPECT_EQ(sys, ref.systematic) << "e=" << e << " rv=" << rv;
       EXPECT_EQ(p1, ref.parity1) << "e=" << e << " rv=" << rv;
       EXPECT_EQ(p2, ref.parity2) << "e=" << e << " rv=" << rv;
+    }
+  }
+}
+
+// The row-layout dematch the batched decoder's rows are written with: a
+// code block in any lane slot 0..7, beside neighbours of other lengths,
+// must land in its column exactly as the contiguous dematch, and columns
+// past the batch width must be zero whatever the buffer held before.
+TEST(RateMatchKernelDifferentialTest, RowLayoutDematchMatchesContiguous) {
+  constexpr std::size_t kL = kTurboBatchLanes;
+  const std::size_t k = 512;
+  const RateMatcher rm(k);
+  const std::size_t kd = k + 4;
+  // Below the circular buffer (puncturing) and above it (repetition).
+  const std::size_t e_values[] = {kd + 3, rm.buffer_size() + 17};
+  for (const std::size_t e : e_values) {
+    for (unsigned rv = 0; rv < 4; ++rv) {
+      for (std::size_t lane = 0; lane < kL; ++lane) {
+        // Lanes 0..lane: the block under test at `lane`, shorter and longer
+        // neighbours before it.
+        const std::size_t n = lane + 1;
+        std::vector<LlrVector> llrs(n);
+        std::vector<std::span<const float>> spans(n);
+        for (std::size_t b = 0; b < n; ++b) {
+          Rng rng(5100 + e + 10 * rv + b);
+          llrs[b].resize(b == lane ? e : e - 1 + 2 * (b % 2));
+          for (auto& v : llrs[b]) v = static_cast<float>(rng.normal());
+          spans[b] = llrs[b];
+        }
+        std::vector<float> rows(3 * kd * kL, 99.0f);  // stale fill.
+        float* blocks[3] = {rows.data(), rows.data() + kd * kL,
+                            rows.data() + 2 * kd * kL};
+        rm.dematch_rows(spans, rv, blocks[0], blocks[1], blocks[2]);
+        for (std::size_t b = 0; b < kL; ++b) {
+          const RateMatcher::Dematched ref =
+              b < n ? rm.dematch(llrs[b], rv) : RateMatcher::Dematched{};
+          const LlrVector* want[3] = {&ref.systematic, &ref.parity1,
+                                      &ref.parity2};
+          for (std::size_t s = 0; s < 3; ++s)
+            for (std::size_t i = 0; i < kd; ++i)
+              ASSERT_EQ(blocks[s][i * kL + b], b < n ? (*want[s])[i] : 0.0f)
+                  << "e=" << e << " rv=" << rv << " lanes=" << n
+                  << " col=" << b << " stream=" << s << " pos=" << i;
+        }
+      }
     }
   }
 }

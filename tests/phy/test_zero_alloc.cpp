@@ -324,6 +324,62 @@ TEST(ZeroAllocTest, BatchedDecodeAcrossWorkersIsAllocationFreeWhenWarm) {
       EXPECT_EQ(results[w][j].payload, sent[w * kPerWorker + j].payload);
 }
 
+// A pooled workspace is warmed by UplinkRxProcessor's pre-warm rule alone,
+// with no growth lap, and must then decode any span of the warmed MCS set
+// without touching the heap. At 10 MHz MCS 27 has the most blocks (six of
+// K = 5312) but MCS 26 the largest (five of K = 6080), so warming with the
+// highest MCS would leave both decoders short at K = 6080. The first span
+// mixes the two MCS; the second has ten MCS 26 blocks, one full batch and a
+// two-block group for the scalar decoder.
+TEST(ZeroAllocTest, PrewarmRuleAloneCoversMixedSpansAndScalarFallback) {
+  UplinkConfig cfg;
+  cfg.num_antennas = 2;
+  const UplinkTransmitter tx(cfg);
+  const UplinkRxProcessor rx(cfg);
+  const unsigned mcs_set[] = {27, 26};
+  std::vector<TxSubframe> sent;
+  std::vector<std::vector<IqVector>> antenna_sets;
+  for (std::uint32_t i = 0; i < std::size(mcs_set); ++i) {
+    sent.push_back(tx.transmit(mcs_set[i], i + 1, 700 + i));
+    antenna_sets.push_back(
+        std::vector<IqVector>(cfg.num_antennas, sent.back().samples));
+  }
+
+  const unsigned warm = rx.largest_block_mcs(mcs_set);
+  ASSERT_EQ(warm, 26u);
+  DecodeWorkspace ws;
+  rx.prewarm(ws, antenna_sets[1], warm, 2);
+
+  // Jobs {MCS 27, MCS 26, MCS 26}, each up to decode_prepare (setup).
+  const std::size_t which[] = {0, 1, 1};
+  std::vector<UplinkRxJob> jobs;
+  for (const std::size_t i : which) {
+    UplinkRxJob job = rx.make_job();
+    rx.begin(job, antenna_sets[i], mcs_set[i], i + 1);
+    for (std::size_t s = 0; s < rx.fft_subtask_count(); ++s)
+      rx.run_fft_subtask(job, s, ws);
+    rx.demod_prepare(job);
+    for (std::size_t s = 0; s < rx.demod_subtask_count(); ++s)
+      rx.run_demod_subtask(job, s);
+    rx.decode_prepare(job, ws);
+    jobs.push_back(std::move(job));
+  }
+  UplinkRxJob* mixed[] = {&jobs[0], &jobs[1]};
+  UplinkRxJob* same_k[] = {&jobs[1], &jobs[2]};
+
+  const std::size_t allocs = count_allocations([&] {
+    rx.run_decode_batch(std::span<UplinkRxJob* const>(mixed), ws);
+    rx.run_decode_batch(std::span<UplinkRxJob* const>(same_k), ws);
+  });
+  EXPECT_EQ(allocs, 0u);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    UplinkRxResult result;
+    rx.finalize_into(jobs[j], ws, result);
+    EXPECT_TRUE(result.crc_ok) << "job " << j;
+    EXPECT_EQ(result.payload, sent[which[j]].payload) << "job " << j;
+  }
+}
+
 // The profiling layer rides on the same hot path, so its steady state must
 // be allocation-free too: the sample slab is preallocated at construction
 // and begin/end/ProfileSpan only write into it. Both real backends are
