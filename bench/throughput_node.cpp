@@ -4,12 +4,14 @@
 //
 //   1. Saturating pipeline rate (deadlines off, one worker, arrival period
 //      far below service time): subframes/sec, wall ns/subframe and
-//      process-CPU ns/subframe for the batched+pooled+pinned configuration
-//      vs the plain batch-of-1 runtime. A single worker makes the figure
-//      "work per subframe through one core" — what batching changes —
-//      instead of a measurement of worker time-slicing; the win check and
-//      the baseline gate use the CPU figure, which additionally survives
-//      noisy hosts where wall time measures the kernel scheduler.
+//      process-CPU ns/subframe for the batched+pinned configuration vs the
+//      plain batch-of-1 runtime. Both figures include the worker's
+//      workspace pre-warm, which runs inside NodeRuntime::run() in every
+//      configuration. A single worker makes the figure "work per subframe
+//      through one core" — what batching changes — instead of a
+//      measurement of worker time-slicing; the win check and the baseline
+//      gate use the CPU figure, which additionally survives noisy hosts
+//      where wall time measures the kernel scheduler.
 //   2. Per-stage mean microseconds from the batched run's subframe records.
 //   3. Capacity sweep: the largest basestation count that stays under a 1%
 //      deadline-miss rate at the sweep period with batching on.
@@ -99,7 +101,6 @@ PipelineResult run_pipeline(unsigned bs, std::size_t subframes,
   cfg.global_cores = 1;
   if (batched) {
     cfg.throughput.batch = 16;
-    cfg.throughput.numa_pools = true;
     cfg.throughput.pin_workers = true;
   }
   runtime::NodeRuntime node(cfg);
@@ -177,7 +178,6 @@ unsigned sweep_max_bs(unsigned max_bs, long period_ms, std::size_t subframes) {
       cfg.deadline_budget = milliseconds(2 * period_ms);
       cfg.rtt_half = microseconds(100);
       cfg.throughput.batch = 16;
-      cfg.throughput.numa_pools = true;
       cfg.throughput.pin_workers = true;
       runtime::NodeRuntime node(cfg);
       const runtime::RuntimeReport report = node.run();

@@ -43,10 +43,10 @@
 //                        (default 1 = off; max 16)
 //   --pin LIST           pin worker i to the i-th CPU of LIST (kernel
 //                        cpulist syntax, e.g. "0-3" or "0,2,4,6"); must
-//                        list at least one CPU per worker
+//                        list at least one CPU per worker. Every worker
+//                        pre-warms its decode workspace after pinning, so
+//                        its pages sit on its CPU's NUMA node
 //   --ticker-core N      pin the transport ticker to CPU N
-//   --numa               pre-warm one decode workspace per worker on the
-//                        worker's NUMA node before the schedule starts
 //   --no-deadlines       disable slack-check dropping: decode every
 //                        delivered subframe even when its deadline is
 //                        hopeless (throughput benchmarking — aggregate
@@ -91,7 +91,6 @@ int main(int argc, char** argv) {
   bool health = false;
   int batch = 1;
   int ticker_core = -1;
-  bool numa = false;
   std::string pin_list;
   std::string trace_path, trace_csv_path, metrics_path, profile_prefix;
   for (int i = 1; i < argc; ++i) {
@@ -130,8 +129,6 @@ int main(int argc, char** argv) {
       pin_list = argv[++i];
     } else if (std::strcmp(argv[i], "--ticker-core") == 0 && i + 1 < argc) {
       ticker_core = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--numa") == 0) {
-      numa = true;
     } else if (std::strcmp(argv[i], "--no-deadlines") == 0) {
       cfg.enforce_deadlines = false;
     } else if (std::strcmp(argv[i], "--kill-core") == 0 && i + 1 < argc) {
@@ -147,7 +144,7 @@ int main(int argc, char** argv) {
                    "  [--trace FILE] [--trace-csv FILE] [--metrics FILE]\n"
                    "  [--metrics-period-ms T] [--analyze] [--health]\n"
                    "  [--adaptive] [--profile PREFIX]\n"
-                   "  [--batch N] [--pin LIST] [--ticker-core N] [--numa]\n"
+                   "  [--batch N] [--pin LIST] [--ticker-core N]\n"
                    "  [--no-deadlines]\n"
                    "  [--kill-core N] [--at-ms T] [--fronthaul-loss P]\n",
                    argv[0]);
@@ -176,7 +173,6 @@ int main(int argc, char** argv) {
                                ? cfg.global_cores
                                : basestations * cfg.cores_per_bs;
   cfg.throughput.batch = static_cast<unsigned>(batch);
-  cfg.throughput.numa_pools = numa;
   cfg.throughput.ticker_core = ticker_core;
   if (!pin_list.empty()) {
     cfg.throughput.worker_cores = runtime::parse_cpulist(pin_list);
@@ -278,12 +274,11 @@ int main(int argc, char** argv) {
                                     : "rt-opex";
   std::printf("mode: %s | %u basestations x %zu subframes | period %.3g ms\n",
               mode_name, basestations, subframes, period_ms);
-  if (batch > 1 || !pin_list.empty() || numa || ticker_core >= 0) {
+  if (batch > 1 || !pin_list.empty() || ticker_core >= 0) {
     const std::string pinned =
         pin_list.empty() ? std::string() : " | pinned " + pin_list;
-    std::printf("throughput: batch %d%s%s%s\n", batch, pinned.c_str(),
-                ticker_core >= 0 ? " | dedicated ticker core" : "",
-                numa ? " | numa pools" : "");
+    std::printf("throughput: batch %d%s%s\n", batch, pinned.c_str(),
+                ticker_core >= 0 ? " | dedicated ticker core" : "");
   }
   if (kill_core >= 0)
     std::printf("killing worker %d at ~%.0f ms (watchdog enabled)\n",

@@ -1,16 +1,14 @@
-// Fixed-capacity ring buffers.
+// Fixed-capacity lock-free single-producer/single-consumer ring buffer.
 //
-// The paper's global scheduler (§3.1.2) holds incoming subframes in "a
-// fixed-size ring-buffer" shared across basestations. SpscRingBuffer is the
-// lock-free single-producer/single-consumer variant used on the hot transport
-// -> processing path of the real-thread runtime; MpmcRingBuffer is the
-// mutex-guarded variant used by the global scheduler's shared queue.
+// SpscRingBuffer is the tracer's per-core event ring (obs/tracer.hpp): each
+// worker emits onto its own ring and the transport ticker drains them all.
+// No runtime job queue uses it. The paper's global scheduler (§3.1.2) holds
+// incoming subframes in "a fixed-size ring-buffer"; the live node's job
+// queues are mutex-guarded deques (runtime/node_runtime.cpp).
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
-#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -61,68 +59,6 @@ class SpscRingBuffer {
   std::size_t mask_ = 0;
   std::atomic<std::size_t> head_{0};
   std::atomic<std::size_t> tail_{0};
-};
-
-/// Mutex-guarded MPMC ring with blocking pop, used for the global scheduler's
-/// shared subframe queue. push() on a full ring drops the oldest element and
-/// returns false (the C-RAN queue must never block the transport thread).
-template <typename T>
-class MpmcRingBuffer {
- public:
-  explicit MpmcRingBuffer(std::size_t capacity) : capacity_(capacity) {}
-
-  /// Returns false when an old element was evicted to make room.
-  bool push(T value) {
-    bool clean = true;
-    {
-      std::lock_guard lock(mu_);
-      if (items_.size() == capacity_) {
-        items_.erase(items_.begin());
-        clean = false;
-      }
-      items_.push_back(std::move(value));
-    }
-    cv_.notify_one();
-    return clean;
-  }
-
-  std::optional<T> try_pop() {
-    std::lock_guard lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    T value = std::move(items_.front());
-    items_.erase(items_.begin());
-    return value;
-  }
-
-  /// Blocks until an element is available or close() is called.
-  std::optional<T> pop() {
-    std::unique_lock lock(mu_);
-    cv_.wait(lock, [&] { return !items_.empty() || closed_; });
-    if (items_.empty()) return std::nullopt;
-    T value = std::move(items_.front());
-    items_.erase(items_.begin());
-    return value;
-  }
-
-  void close() {
-    {
-      std::lock_guard lock(mu_);
-      closed_ = true;
-    }
-    cv_.notify_all();
-  }
-
-  std::size_t size() const {
-    std::lock_guard lock(mu_);
-    return items_.size();
-  }
-
- private:
-  std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<T> items_;
-  bool closed_ = false;
 };
 
 }  // namespace rtopex

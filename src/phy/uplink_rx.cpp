@@ -148,6 +148,7 @@ struct UplinkRxProcessor::Impl {
   IqVector dmrs;
   std::array<unsigned, 12> data_symbols = data_symbol_indices();
   std::vector<McsContext> per_mcs;  ///< indexed by MCS.
+  std::size_t max_blocks = 0;       ///< most code blocks of any MCS.
 
   explicit Impl(const UplinkConfig& config)
       : fft(config.bw_config().fft_size),
@@ -177,6 +178,7 @@ UplinkRxProcessor::UplinkRxProcessor(const UplinkConfig& config)
       ctx.matcher = std::make_shared<RateMatcher>(k);
       built.emplace_back(k, mcs);
     }
+    impl_->max_blocks = std::max(impl_->max_blocks, ctx.layout.e_bits.size());
     ctx.e_offsets.resize(ctx.layout.e_bits.size());
     std::size_t off = 0;
     for (std::size_t b = 0; b < ctx.layout.e_bits.size(); ++b) {
@@ -199,6 +201,8 @@ UplinkRxProcessor::Job UplinkRxProcessor::make_job() const {
   job.post_eq_noise.resize(job.equalized.size());
   // Worst-case LLR buffer: 64QAM over all data REs.
   job.llrs.resize(job.equalized.size() * 6);
+  job.cb_results.reserve(impl_->max_blocks);
+  job.cb_spare.reserve(impl_->max_blocks);
   return job;
 }
 
@@ -223,10 +227,24 @@ void UplinkRxProcessor::begin(Job& job,
   // 12 * nsc * qm soft bits before anything reads them.
   job.llrs.resize(job.equalized.size() * modulation_order(mcs));
   // Reset per-block results without freeing their bit buffers: a reused job
-  // decoding the same MCS every subframe must not reallocate here. Each
-  // buffer is sized for its block now, so the decode stage never allocates.
+  // must not reallocate here, whatever MCS it decoded before. Surplus
+  // results move to cb_spare and come back in reverse, so each buffer
+  // returns to its own block index. Each buffer is sized for its block
+  // now, so the decode stage never allocates.
   const CodeBlockLayout& layout = impl_->per_mcs[mcs].layout;
-  job.cb_results.resize(layout.e_bits.size());
+  const std::size_t c = layout.e_bits.size();
+  while (job.cb_results.size() > c) {
+    job.cb_spare.push_back(std::move(job.cb_results.back()));
+    job.cb_results.pop_back();
+  }
+  while (job.cb_results.size() < c) {
+    if (job.cb_spare.empty()) {
+      job.cb_results.emplace_back();
+      continue;
+    }
+    job.cb_results.push_back(std::move(job.cb_spare.back()));
+    job.cb_spare.pop_back();
+  }
   for (auto& cb : job.cb_results) {
     cb.bits.clear();
     cb.bits.reserve(layout.block_size);
@@ -561,11 +579,7 @@ void UplinkRxProcessor::prewarm(DecodeWorkspace& ws,
                    ws);
   run_decode_subtask(job, 0, ws);
   finalize_into(job, ws, result);
-
-  std::size_t max_blocks = 0;
-  for (const McsContext& ctx : impl_->per_mcs)
-    max_blocks = std::max(max_blocks, ctx.layout.e_bits.size());
-  ws.bat_group.reserve(kMaxBatchJobs * max_blocks);
+  ws.bat_group.reserve(kMaxBatchJobs * impl_->max_blocks);
 }
 
 UplinkRxResult UplinkRxProcessor::finalize(Job& job) const {

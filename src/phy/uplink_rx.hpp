@@ -56,7 +56,11 @@ struct UplinkRxJob {
     unsigned iterations = 0;
     bool crc_ok = false;
   };
-  std::vector<CodeBlockResult> cb_results;
+  std::vector<CodeBlockResult> cb_results;  ///< one per code block.
+  /// Results of the blocks beyond the current MCS's count: begin() parks
+  /// them here, bit buffers included, and brings them back when a later
+  /// MCS has more blocks, so a reused job never reallocates them.
+  std::vector<CodeBlockResult> cb_spare;
 };
 
 class UplinkRxProcessor {
@@ -69,7 +73,7 @@ class UplinkRxProcessor {
 
   using Job = UplinkRxJob;
 
-  /// Creates a job sized for the worst-case MCS.
+  /// Creates a job sized for the worst-case MCS (block results included).
   Job make_job() const;
 
   /// Binds a received subframe to the job and resets per-subframe state.

@@ -2,11 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <fstream>
-#include <numeric>
-#include <string>
-
-#include "common/thread_utils.hpp"
 
 namespace rtopex::runtime {
 namespace {
@@ -55,39 +50,6 @@ std::vector<unsigned> parse_cpulist(std::string_view text) {
   std::sort(cpus.begin(), cpus.end());
   cpus.erase(std::unique(cpus.begin(), cpus.end()), cpus.end());
   return cpus;
-}
-
-NumaTopology detect_numa_topology() {
-  NumaTopology topo;
-#if defined(__linux__)
-  for (unsigned node = 0; node < 1024; ++node) {
-    std::ifstream f("/sys/devices/system/node/node" + std::to_string(node) +
-                    "/cpulist");
-    if (!f.is_open()) break;
-    std::string line;
-    std::getline(f, line);
-    std::vector<unsigned> cpus = parse_cpulist(line);
-    // Memory-only nodes (no CPUs) exist on some machines; keep them out of
-    // the plan — workers can only pin to nodes that have cores.
-    if (!cpus.empty()) topo.node_cpus.push_back(std::move(cpus));
-  }
-#endif
-  if (topo.node_cpus.empty()) {
-    std::vector<unsigned> all(hardware_core_count());
-    std::iota(all.begin(), all.end(), 0u);
-    topo.node_cpus.push_back(std::move(all));
-    topo.from_sysfs = false;
-  } else {
-    topo.from_sysfs = true;
-  }
-  return topo;
-}
-
-unsigned numa_node_of(const NumaTopology& topo, unsigned cpu) {
-  for (std::size_t n = 0; n < topo.node_cpus.size(); ++n)
-    for (const unsigned c : topo.node_cpus[n])
-      if (c == cpu) return static_cast<unsigned>(n);
-  return 0;
 }
 
 }  // namespace rtopex::runtime

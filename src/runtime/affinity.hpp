@@ -1,13 +1,9 @@
-// NUMA topology discovery and core-pinning helpers for throughput mode.
+// Core pin-set parsing for the runtime's placement options.
 //
-// Discovery reads /sys/devices/system/node/node*/cpulist directly (no
-// libnuma dependency). Hosts without the sysfs tree — containers, non-NUMA
-// machines, non-Linux builds — degrade to a single synthetic node covering
-// every hardware core, so callers never need a NUMA-specific code path:
-// "one node" is simply the trivial topology. Pinning stays best-effort
-// throughout (pthread_setaffinity_np may be denied under restricted
-// seccomp/cgroup policies, like the perf backend's syscall probe); a denied
-// pin downgrades to an unpinned thread, never to an error.
+// A pin set is written in the kernel's cpulist syntax ("0-3,8,10-11"), the
+// format `taskset -c` takes. Pinning itself stays best-effort
+// (common/thread_utils.hpp): a denied pin downgrades to an unpinned thread,
+// never to an error.
 #pragma once
 
 #include <string_view>
@@ -15,26 +11,9 @@
 
 namespace rtopex::runtime {
 
-/// Per-node CPU lists, sorted ascending within each node.
-struct NumaTopology {
-  std::vector<std::vector<unsigned>> node_cpus;
-  /// True when read from sysfs; false for the single-node fallback.
-  bool from_sysfs = false;
-
-  std::size_t num_nodes() const { return node_cpus.size(); }
-};
-
 /// Parses a kernel cpulist string ("0-3,8,10-11") into sorted CPU ids.
-/// Malformed fragments are skipped rather than thrown: a topology read is
-/// advisory, and the caller's fallback is the trivial single-node plan.
+/// Malformed fragments are skipped rather than thrown: the valid remainder
+/// survives, and the caller checks that it covers every worker.
 std::vector<unsigned> parse_cpulist(std::string_view text);
-
-/// Reads the sysfs node tree; falls back to one node spanning
-/// hardware_core_count() CPUs when the tree is absent or unreadable.
-NumaTopology detect_numa_topology();
-
-/// Node owning `cpu`; 0 when the CPU appears in no node (offline CPU or
-/// fallback topology).
-unsigned numa_node_of(const NumaTopology& topo, unsigned cpu);
 
 }  // namespace rtopex::runtime

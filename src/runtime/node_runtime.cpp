@@ -12,6 +12,7 @@
 
 #include "channel/channel.hpp"
 #include "common/rng.hpp"
+#include "common/thread_utils.hpp"
 #include "model/online_fit.hpp"
 #include "model/task_cost_model.hpp"
 #include "obs/analysis/replay.hpp"  // kJobSpec field vocabulary (header-only)
@@ -20,13 +21,11 @@
 #include "obs/profile/profile_report.hpp"
 #include "obs/tracer.hpp"
 #include "phy/uplink_tx.hpp"
-#include "runtime/affinity.hpp"
 #include "runtime/clock.hpp"
 #include "runtime/cpu_state_table.hpp"
 #include "runtime/fault_injection.hpp"
 #include "runtime/mailbox.hpp"
 #include "runtime/stage_scope.hpp"
-#include "runtime/workspace_pool.hpp"
 #include "sched/migration.hpp"
 
 namespace rtopex::runtime {
@@ -48,13 +47,37 @@ struct Job {
   TimePoint deadline = 0;
 };
 
-/// Per-worker state: private job queue (partitioned/RT-OPEX) plus the
-/// migration mailbox.
-struct WorkerState {
+/// A job queue: the ticker pushes, workers take. Each worker owns one;
+/// global mode adds one that every worker takes from.
+struct JobQueue {
   std::mutex mu;
   std::condition_variable cv;
-  std::deque<Job> queue;
+  std::deque<Job> jobs;
+  /// Queued jobs, readable without `mu`: RT-OPEX polls it, and the
+  /// watchdog reads it as "work is waiting".
   std::atomic<int> pending{0};
+
+  void push(const Job& j) {
+    {
+      std::lock_guard lock(mu);
+      jobs.push_back(j);
+    }
+    // Counted after the unlock, so a poller that sees the job finds the lock
+    // free instead of sleeping on it while it still looks idle to planners.
+    pending.fetch_add(1, std::memory_order_acq_rel);
+    cv.notify_one();
+  }
+
+  bool empty() {
+    std::lock_guard lock(mu);
+    return jobs.empty();
+  }
+};
+
+/// Per-worker state: its own job queue (partitioned/RT-OPEX) plus the
+/// migration mailbox.
+struct WorkerState {
+  JobQueue queue;
   Mailbox mailbox;
   std::vector<SubframeRecord> records;
   /// Nominal arrival of this worker's next own subframe (RT-OPEX horizon).
@@ -132,18 +155,15 @@ struct NodeRuntime::Impl {
   std::unique_ptr<phy::UplinkRxProcessor> rx;
   std::vector<std::vector<RxVariant>> variants;  // [bs][distinct mcs]
   std::atomic<bool> running{true};
-  /// Workers that have finished per-thread setup (job buffers, workspace).
-  /// The ticker holds the schedule epoch until every worker has checked in:
-  /// batch mode allocates `batch` job buffers per worker, easily >10 ms of
-  /// page faults, which would otherwise be charged to the first subframes'
-  /// deadlines.
+  /// Workers that have finished per-thread setup (job buffers, workspace
+  /// pre-warm). The ticker holds the schedule epoch until every worker has
+  /// checked in: batch mode allocates `batch` job buffers per worker, easily
+  /// >10 ms of page faults, and a cold workspace grows on the first
+  /// subframes; neither should be charged to their deadlines.
   std::atomic<unsigned> workers_ready{0};
 
-  // Shared queue for global mode.
-  std::mutex global_mu;
-  std::condition_variable global_cv;
-  std::deque<Job> global_queue;
-  std::atomic<int> global_pending{0};
+  /// The queue every worker takes from in global mode (empty otherwise).
+  JobQueue global_queue;
 
   // Planning-model subtask/stage time estimates (seeded from the config,
   // EWMA-updated at runtime).
@@ -211,11 +231,6 @@ struct NodeRuntime::Impl {
   /// Hard cap on ThroughputConfig::batch — the cross-subframe decode
   /// groups at most this many subframes per call.
   static constexpr std::size_t kMaxBatch = 16;
-  /// Per-worker pre-warmed decode workspaces (null unless
-  /// config.throughput.numa_pools; built by the NodeRuntime constructor so
-  /// run() timing covers schedule execution only).
-  std::unique_ptr<WorkspacePool> pool;
-  NumaTopology numa_topo;
   /// Subframes decoded inside a cross-subframe batch of >= 2.
   std::atomic<std::size_t> batched_subframes{0};
 
@@ -315,11 +330,11 @@ struct NodeRuntime::Impl {
     throw std::logic_error("no RX variant for this MCS");
   }
 
-  /// Grows a pool workspace to its working size before the schedule
+  /// Grows a worker's workspace to its working size before the schedule
   /// starts, by UplinkRxProcessor::prewarm on the variant with the largest
   /// code blocks (not the highest MCS: K does not grow with MCS), so both
   /// the batched and the per-block decoder reach their high-water marks.
-  /// Runs on the pool's node-pinned warmer threads, so first touch places
+  /// Each worker runs it on its own pinned thread, so first touch places
   /// the pages on the worker's NUMA node. (Per-c_init scramble sequences
   /// for basestations other than 0 still generate lazily on their first
   /// subframe — a few hundred bytes each, bounded by the LRU cache.)
@@ -858,160 +873,128 @@ struct NodeRuntime::Impl {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
-  // Worker body for partitioned/global modes: block on the queue. With
-  // throughput batching on, drain up to `batch` already-queued jobs per
-  // pass and fuse their decode stages into one cross-subframe SoA batch.
-  // Draining is opportunistic — it never waits for the queue to fill — so
-  // an underloaded node degenerates to batch-of-1 and pays no added
-  // latency.
-  void blocking_worker(unsigned id) {
+  /// Moves up to `batch` queued jobs into `drained`; false when it took
+  /// none. RT-OPEX (`wait` false) polls the lock-free count and never
+  /// blocks. The other modes wait up to 5 ms on the queue, so the kill
+  /// switch is polled even when the queue stays empty. A pass fuses only
+  /// subframes whose IQ data has already arrived: the ticker enqueues ahead
+  /// of the modeled arrival, and batching a future delivery would make the
+  /// pass sleep on it mid-batch while peers sit idle. The first job is
+  /// taken unconditionally (a batch of one waits on its arrival itself).
+  bool take_jobs(JobQueue& q, std::size_t batch, bool wait,
+                 std::vector<Job>& drained) {
+    drained.clear();
+    if (!wait && q.pending.load(std::memory_order_acquire) <= 0) return false;
+    std::unique_lock lock(q.mu);
+    if (wait)
+      q.cv.wait_for(lock, std::chrono::milliseconds(5),
+                    [&] { return !q.jobs.empty() || !running.load(); });
+    // The queue may be empty on a spurious wake, at shutdown, or after the
+    // watchdog requeued this worker's jobs elsewhere.
+    while (!q.jobs.empty() && drained.size() < batch) {
+      if (!drained.empty() && q.jobs.front().arrival > clock.now()) break;
+      drained.push_back(q.jobs.front());
+      q.jobs.pop_front();
+    }
+    q.pending.fetch_sub(static_cast<int>(drained.size()),
+                        std::memory_order_acq_rel);
+    return !drained.empty();
+  }
+
+  /// RT-OPEX's waiting state: publish idleness with the predicted horizon,
+  /// then serve at most one migrated chunk, out of this thread's workspace.
+  /// Returns false when the worker parked on the kill switch.
+  bool host_chunk(unsigned id) {
+    WorkerState& self = *workers[id];
+    table.set(id, CoreActivity::kIdle,
+              self.next_own_arrival.load(std::memory_order_acquire));
+    if (const fault::Hooks* h = fault::active();
+        h && h->host_take && !h->host_take(id)) {
+      std::this_thread::yield();
+      return true;
+    }
+    MigratedChunk chunk;
+    if (!self.mailbox.try_take(chunk)) {
+      std::this_thread::yield();
+      return true;
+    }
+    table.set(id, CoreActivity::kHosting, 0);
+    StageScope scope(clock, trc(), prof(), id, chunk.bs, chunk.index);
+    scope.open_host(chunk.src_core, chunk.stage);
+    std::uint32_t served = 0;
+    for (;;) {
+      // Preemption and kill checks between subtasks — a killed host
+      // finishes the subtask it claimed before parking, so it never
+      // strands a claimed-but-incomplete index.
+      if (self.queue.pending.load(std::memory_order_acquire) > 0) break;
+      if (should_die(id)) {
+        self.mailbox.release();
+        park(id);
+        return false;
+      }
+      if (const fault::Hooks* h = fault::active();
+          h && h->host_subtask && !h->host_subtask(id))
+        break;
+      const std::size_t i =
+          chunk.next_index->fetch_add(1, std::memory_order_acq_rel);
+      if (i >= chunk.first + chunk.count) break;
+      chunk.run_subtask(i);
+      if (chunk.done)
+        chunk.done[i - chunk.first].store(1, std::memory_order_release);
+      chunk.completed->fetch_add(1, std::memory_order_acq_rel);
+      self.heartbeat.fetch_add(1, std::memory_order_relaxed);
+      ++served;
+    }
+    scope.close_host(chunk.src_core, chunk.stage, served);
+    self.mailbox.release();
+    return true;
+  }
+
+  /// The one worker loop of every mode: take up to `batch` queued jobs and
+  /// run them as one pass, until the run stops. Only the wait differs: an
+  /// RT-OPEX worker polls its queue and hosts migrated chunks while it has
+  /// none (paper §4.1), the others block on their queue. With throughput
+  /// batching on, a pass fuses the decode stages of its jobs into one
+  /// cross-subframe SoA batch; draining never waits for the queue to fill,
+  /// so an underloaded node degenerates to batch-of-1.
+  void worker(unsigned id) {
     if (should_pin()) pin_current_thread(worker_pin_core(id));
     if (config.try_fifo_priority) set_current_thread_fifo(50);
     set_current_thread_name("rtopex-w" + std::to_string(id));
-    const bool global = config.mode == RuntimeMode::kGlobal;
+    const bool rtopex = config.mode == RuntimeMode::kRtOpex;
+    // 1 in RT-OPEX mode, which rejects batch > 1 at construction.
     const std::size_t batch = std::min<std::size_t>(
         std::max(1u, config.throughput.batch), kMaxBatch);
     WorkerState& self = *workers[id];
+    JobQueue& queue =
+        config.mode == RuntimeMode::kGlobal ? global_queue : self.queue;
     std::vector<phy::UplinkRxJob> job_bufs;
     job_bufs.reserve(batch);
     for (std::size_t b = 0; b < batch; ++b) job_bufs.push_back(rx->make_job());
     phy::UplinkRxResult rx_result;
-    phy::DecodeWorkspace& ws =
-        pool ? pool->workspace(id)
-             : phy::UplinkRxProcessor::thread_workspace();
     std::vector<Job> drained;
     drained.reserve(batch);
-    workers_ready.fetch_add(1, std::memory_order_release);
-    auto& mu = global ? global_mu : self.mu;
-    auto& cv = global ? global_cv : self.cv;
-    auto& queue = global ? global_queue : self.queue;
-    for (;;) {
-      if (should_die(id)) return park(id);
-      drained.clear();
-      {
-        std::unique_lock lock(mu);
-        // Wake at least once per watchdog period so the kill switch is
-        // polled even when this worker's queue stays empty.
-        cv.wait_for(lock, std::chrono::milliseconds(5),
-                    [&] { return !queue.empty() || !running.load(); });
-        // The queue may be empty on a spurious wake, at shutdown, or after
-        // the watchdog requeued this worker's jobs elsewhere.
-        if (queue.empty()) {
-          if (!running.load()) return;
-          continue;
-        }
-        while (!queue.empty() && drained.size() < batch) {
-          // Fuse only subframes whose IQ data has already arrived: the
-          // ticker enqueues ahead of the modeled arrival, and batching a
-          // future delivery would make this pass sleep on it mid-batch
-          // while peers sit idle. The first job is taken unconditionally
-          // (the batch-of-1 path waits on it exactly like the default).
-          if (!drained.empty() && queue.front().arrival > clock.now()) break;
-          drained.push_back(queue.front());
-          queue.pop_front();
-        }
-      }
-      self.heartbeat.fetch_add(drained.size(), std::memory_order_relaxed);
-      process_pass(id, job_bufs, rx_result, drained, /*migrate=*/false, ws,
-                   self.records);
-      if (!global)
-        self.pending.fetch_sub(static_cast<int>(drained.size()),
-                               std::memory_order_acq_rel);
-    }
-  }
-
-  // Worker body for RT-OPEX: poll own queue and the migration mailbox.
-  void rtopex_worker(unsigned id) {
-    if (should_pin()) pin_current_thread(worker_pin_core(id));
-    if (config.try_fifo_priority) set_current_thread_fifo(50);
-    set_current_thread_name("rtopex-w" + std::to_string(id));
-    WorkerState& self = *workers[id];
-    phy::UplinkRxJob job = rx->make_job();
-    phy::UplinkRxResult rx_result;
+    // This thread's own stages and the chunks it hosts share one workspace.
     phy::DecodeWorkspace& ws = phy::UplinkRxProcessor::thread_workspace();
+    prewarm_workspace(ws);
     workers_ready.fetch_add(1, std::memory_order_release);
     for (;;) {
       if (should_die(id)) return park(id);
       self.heartbeat.fetch_add(1, std::memory_order_relaxed);
-      if (self.pending.load(std::memory_order_acquire) > 0) {
-        Job j;
-        bool got = false;
-        {
-          std::lock_guard lock(self.mu);
-          // Empty despite pending > 0 when the watchdog just requeued this
-          // worker's jobs elsewhere (it decrements pending under the lock,
-          // but this thread may have read the counter before that).
-          if (!self.queue.empty()) {
-            j = self.queue.front();
-            self.queue.pop_front();
-            got = true;
-          }
-        }
-        if (got) {
-          self.pending.fetch_sub(1, std::memory_order_acq_rel);
-          process_pass(id, {&job, 1}, rx_result, {&j, 1}, /*migrate=*/true, ws,
-                       self.records);
-        }
+      if (take_jobs(queue, batch, /*wait=*/!rtopex, drained)) {
+        process_pass(id, job_bufs, rx_result, drained, /*migrate=*/rtopex, ws,
+                     self.records);
         continue;
       }
       if (!running.load(std::memory_order_acquire)) return;
-
-      // Waiting state: publish idleness with the predicted horizon, then
-      // serve at most one migrated chunk.
-      table.set(id, CoreActivity::kIdle,
-                self.next_own_arrival.load(std::memory_order_acquire));
-      if (const fault::Hooks* h = fault::active();
-          h && h->host_take && !h->host_take(id)) {
-        std::this_thread::yield();
-        continue;
-      }
-      MigratedChunk chunk;
-      if (self.mailbox.try_take(chunk)) {
-        table.set(id, CoreActivity::kHosting, 0);
-        StageScope scope(clock, trc(), prof(), id, chunk.bs, chunk.index);
-        scope.open_host(chunk.src_core, chunk.stage);
-        std::uint32_t served = 0;
-        for (;;) {
-          // Preemption and kill checks between subtasks — a killed host
-          // finishes the subtask it claimed before parking, so it never
-          // strands a claimed-but-incomplete index.
-          if (self.pending.load(std::memory_order_acquire) > 0) break;
-          if (should_die(id)) {
-            self.mailbox.release();
-            return park(id);
-          }
-          if (const fault::Hooks* h = fault::active();
-              h && h->host_subtask && !h->host_subtask(id))
-            break;
-          const std::size_t i =
-              chunk.next_index->fetch_add(1, std::memory_order_acq_rel);
-          if (i >= chunk.first + chunk.count) break;
-          chunk.run_subtask(i);
-          if (chunk.done)
-            chunk.done[i - chunk.first].store(1, std::memory_order_release);
-          chunk.completed->fetch_add(1, std::memory_order_acq_rel);
-          self.heartbeat.fetch_add(1, std::memory_order_relaxed);
-          ++served;
-        }
-        scope.close_host(chunk.src_core, chunk.stage, served);
-        self.mailbox.release();
-        continue;
-      }
-      std::this_thread::yield();
+      if (rtopex && !host_chunk(id)) return;
     }
   }
 
   // ---- transport side ---------------------------------------------------
 
   void push_job(const Job& j) {
-    if (config.mode == RuntimeMode::kGlobal) {
-      {
-        std::lock_guard lock(global_mu);
-        global_queue.push_back(j);
-      }
-      global_cv.notify_one();
-      return;
-    }
+    if (config.mode == RuntimeMode::kGlobal) return global_queue.push(j);
     const unsigned wid = slots[j.bs][j.index % config.cores_per_bs];
     WorkerState& w = *workers[wid];
     // A push to a caught-up worker restarts its stall timer: the watchdog
@@ -1021,22 +1004,17 @@ struct NodeRuntime::Impl {
     // survivor handed a requeued orphan can be declared dead in the very
     // watchdog pass that failed over the real stall. Ticker thread owns
     // both push_job and last_progress, so no synchronization is needed.
-    if (w.pending.load(std::memory_order_acquire) <= 0)
+    if (w.queue.pending.load(std::memory_order_acquire) <= 0)
       last_progress[wid] = clock.now();
-    {
-      std::lock_guard lock(w.mu);
-      w.queue.push_back(j);
-      // Predict this worker's following own arrival (one stride later).
-      // After a repartition the worker may own extra slots and the stride
-      // is only an upper bound on its idle window — a conservative horizon
-      // under-migrates, it never corrupts.
-      w.next_own_arrival.store(
-          j.arrival + static_cast<Duration>(config.cores_per_bs) *
-                          config.subframe_period,
-          std::memory_order_release);
-    }
-    w.pending.fetch_add(1, std::memory_order_acq_rel);
-    w.cv.notify_one();
+    // Predict this worker's following own arrival (one stride later).
+    // After a repartition the worker may own extra slots and the stride
+    // is only an upper bound on its idle window — a conservative horizon
+    // under-migrates, it never corrupts.
+    w.next_own_arrival.store(
+        j.arrival +
+            static_cast<Duration>(config.cores_per_bs) * config.subframe_period,
+        std::memory_order_release);
+    w.queue.push(j);
   }
 
   // ---- watchdog (ticker thread) -----------------------------------------
@@ -1072,10 +1050,10 @@ struct NodeRuntime::Impl {
     // against the (possibly still live) worker's own pop.
     std::deque<Job> orphans;
     {
-      std::lock_guard lock(w.mu);
-      orphans.swap(w.queue);
-      w.pending.fetch_sub(static_cast<int>(orphans.size()),
-                          std::memory_order_acq_rel);
+      std::lock_guard lock(w.queue.mu);
+      orphans.swap(w.queue.jobs);
+      w.queue.pending.fetch_sub(static_cast<int>(orphans.size()),
+                                std::memory_order_acq_rel);
     }
     for (const Job& j : orphans) {
       push_job(j);
@@ -1097,7 +1075,7 @@ struct NodeRuntime::Impl {
       if (w.dead.load(std::memory_order_acquire)) continue;
       const std::uint64_t hb = w.heartbeat.load(std::memory_order_relaxed);
       if (hb != last_heartbeat[k] ||
-          w.pending.load(std::memory_order_acquire) <= 0) {
+          w.queue.pending.load(std::memory_order_acquire) <= 0) {
         last_heartbeat[k] = hb;
         last_progress[k] = now;
         continue;
@@ -1223,22 +1201,6 @@ NodeRuntime::NodeRuntime(const RuntimeConfig& config) {
   // (inside Impl); anything invalid throws std::invalid_argument there.
   if (config.health.enabled) config.health.validate();
   impl_ = std::make_unique<Impl>(config);
-  // Throughput-mode pool setup happens here, at construction: the pre-warm
-  // (a full dummy decode per worker workspace, from a node-pinned helper
-  // thread) is expensive, and callers timing run() should see schedule
-  // execution only, not setup.
-  if (config.throughput.numa_pools) {
-    Impl& im = *impl_;
-    const unsigned n_workers = Impl::worker_count(config);
-    im.numa_topo = detect_numa_topology();
-    std::vector<unsigned> worker_cpus;
-    if (im.should_pin())
-      for (unsigned i = 0; i < n_workers; ++i)
-        worker_cpus.push_back(im.worker_pin_core(i));
-    im.pool = std::make_unique<WorkspacePool>(
-        im.numa_topo, worker_cpus, n_workers,
-        [&im](phy::DecodeWorkspace& ws) { im.prewarm_workspace(ws); });
-  }
 }
 
 NodeRuntime::~NodeRuntime() = default;
@@ -1255,19 +1217,16 @@ RuntimeReport NodeRuntime::run() {
 
   std::vector<std::thread> threads;
   threads.reserve(n_workers);
-  for (unsigned i = 0; i < n_workers; ++i) {
-    if (cfg.mode == RuntimeMode::kRtOpex)
-      threads.emplace_back([&im, i] { im.rtopex_worker(i); });
-    else
-      threads.emplace_back([&im, i] { im.blocking_worker(i); });
-  }
+  for (unsigned i = 0; i < n_workers; ++i)
+    threads.emplace_back([&im, i] { im.worker(i); });
 
   // Start the schedule only once every worker has finished its per-thread
   // setup (and not at construction: variant pre-generation in the Impl
   // constructor can take long enough, notably under sanitizers, to push the
   // first subframes past their deadlines). Batch mode allocates `batch` job
-  // buffers per worker — >10 ms of page faults on some hosts — and the
-  // first subframes should not pay for that either.
+  // buffers per worker — >10 ms of page faults on some hosts — and every
+  // worker pre-warms its workspace; the first subframes should pay for
+  // neither.
   while (im.workers_ready.load(std::memory_order_acquire) < n_workers)
     std::this_thread::sleep_for(std::chrono::microseconds(100));
   im.clock.reset();
@@ -1278,6 +1237,10 @@ RuntimeReport NodeRuntime::run() {
   Rng fault_rng(cfg.seed ^ 0x9e3779b97f4a7c15ULL);
   const bool faults = cfg.resilience.fronthaul_faults.enabled();
   TimePoint last_metrics = 0;
+  // One tick's per-basestation arrivals, reserved once so that no tick
+  // allocates for them.
+  std::vector<std::pair<TimePoint, unsigned>> deliveries;
+  deliveries.reserve(cfg.num_basestations);
   for (std::uint32_t j = 0; j < cfg.subframes_per_bs; ++j) {
     const TimePoint radio_time =
         static_cast<TimePoint>(j) * cfg.subframe_period;
@@ -1298,8 +1261,7 @@ RuntimeReport NodeRuntime::run() {
     }
     // Per-basestation jittered arrivals (fault injection); without a hook
     // every basestation arrives at the nominal instant in one batch.
-    std::vector<std::pair<TimePoint, unsigned>> deliveries;
-    deliveries.reserve(cfg.num_basestations);
+    deliveries.clear();
     for (unsigned bs = 0; bs < cfg.num_basestations; ++bs) {
       TimePoint at = arrival;
       if (faults) {
@@ -1355,15 +1317,10 @@ RuntimeReport NodeRuntime::run() {
   }
 
   // Drain: wait until all queues empty, then stop the workers.
-  auto queues_empty = [&im, &cfg] {
-    if (cfg.mode == RuntimeMode::kGlobal) {
-      std::lock_guard lock(im.global_mu);
-      return im.global_queue.empty();
-    }
-    for (const auto& w : im.workers) {
-      std::lock_guard lock(w->mu);
+  auto queues_empty = [&im] {
+    if (!im.global_queue.empty()) return false;
+    for (const auto& w : im.workers)
       if (!w->queue.empty()) return false;
-    }
     return true;
   };
   while (!queues_empty()) {
@@ -1374,8 +1331,8 @@ RuntimeReport NodeRuntime::run() {
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   im.running.store(false);
-  im.global_cv.notify_all();
-  for (const auto& w : im.workers) w->cv.notify_all();
+  im.global_queue.cv.notify_all();
+  for (const auto& w : im.workers) w->queue.cv.notify_all();
   for (auto& t : threads) t.join();
 
   RuntimeReport report;

@@ -9,6 +9,13 @@
 // are only meaningful on a multicore host; the virtual-time simulator in
 // src/sim is the substrate used to regenerate the paper's figures.
 //
+// Every mode runs the same worker loop over the same job queue type; only
+// the wait differs (an RT-OPEX worker polls and hosts migrated chunks while
+// idle, the others block). Each worker pre-warms its own thread's decode
+// workspace on its own pinned thread before the schedule starts, so first
+// touch places the pages on its NUMA node and no subframe grows scratch
+// memory mid-schedule.
+//
 // One deliberate divergence from the paper's state machine: a hosting core
 // finishes the migrated subtask it is executing before it switches to a
 // newly arrived subframe of its own (preemption happens between subtasks,
@@ -66,7 +73,7 @@ struct ResilienceConfig {
 /// Throughput-mode knobs (FlexRAN-style batched operation). Defaults keep
 /// the original latency-oriented behaviour bit-for-bit.
 ///
-/// Batching applies to the blocking runtimes (partitioned/global): a worker
+/// Batching applies to partitioned and global mode: a worker
 /// opportunistically drains up to `batch` already-queued subframes per
 /// pass, runs each through FFT/demod, then decodes all their code blocks in
 /// one cross-subframe SoA batch (UplinkRxProcessor::run_decode_batch) so
@@ -88,14 +95,9 @@ struct ThroughputConfig {
   int ticker_core = -1;
   /// Explicit worker pin set: worker i runs on worker_cores[i]. Empty
   /// falls back to the legacy id-modulo-cores placement. When non-empty it
-  /// must list at least one core per worker (validated).
+  /// must list at least one core per worker (validated). A pinned worker
+  /// pre-warms its workspace after pinning, so its pages are node-local.
   std::vector<unsigned> worker_cores;
-  /// Pre-warm one DecodeWorkspace per worker from a thread pinned to the
-  /// worker's NUMA node (first-touch locality) before the schedule starts;
-  /// workers then decode out of their pool workspace instead of growing
-  /// the thread-local one mid-run. Single-node hosts still get the
-  /// pre-warm, just without a locality distinction.
-  bool numa_pools = false;
 };
 
 /// Validated by the NodeRuntime constructor: at least one basestation,
@@ -242,6 +244,9 @@ class NodeRuntime {
   NodeRuntime& operator=(const NodeRuntime&) = delete;
 
   /// Runs the configured workload to completion and returns the report.
+  /// Worker setup (job buffers, workspace pre-warm) runs inside run(),
+  /// before the schedule's epoch: it is charged to no subframe, but a
+  /// caller timing run() sees it.
   RuntimeReport run();
 
  private:

@@ -50,40 +50,5 @@ TEST(SpscRingBufferTest, ConcurrentProducerConsumer) {
   EXPECT_EQ(sum, static_cast<long long>(kCount) * (kCount - 1) / 2);
 }
 
-TEST(MpmcRingBufferTest, EvictsOldestWhenFull) {
-  MpmcRingBuffer<int> ring(3);
-  EXPECT_TRUE(ring.push(1));
-  EXPECT_TRUE(ring.push(2));
-  EXPECT_TRUE(ring.push(3));
-  EXPECT_FALSE(ring.push(4));  // evicts 1
-  EXPECT_EQ(ring.size(), 3u);
-  EXPECT_EQ(*ring.try_pop(), 2);
-  EXPECT_EQ(*ring.try_pop(), 3);
-  EXPECT_EQ(*ring.try_pop(), 4);
-}
-
-TEST(MpmcRingBufferTest, BlockingPopWakesOnPush) {
-  MpmcRingBuffer<int> ring(8);
-  std::thread consumer([&] {
-    const auto v = ring.pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, 42);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  ring.push(42);
-  consumer.join();
-}
-
-TEST(MpmcRingBufferTest, CloseReleasesBlockedPop) {
-  MpmcRingBuffer<int> ring(8);
-  std::thread consumer([&] {
-    const auto v = ring.pop();
-    EXPECT_FALSE(v.has_value());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  ring.close();
-  consumer.join();
-}
-
 }  // namespace
 }  // namespace rtopex

@@ -21,7 +21,6 @@
 #include "phy/turbo.hpp"
 #include "phy/uplink_rx.hpp"
 #include "phy/uplink_tx.hpp"
-#include "runtime/workspace_pool.hpp"
 
 namespace {
 
@@ -196,13 +195,12 @@ TEST(ZeroAllocTest, ThreadWorkspaceOverloadsAreAllocationFreeWhenWarm) {
 // The throughput-mode batched path as a batched NodeRuntime worker drives
 // it: two persistent workers, each draining two subframes per pass (begin /
 // FFT / demod / decode_prepare per job, then one cross-subframe
-// run_decode_batch over both jobs) out of a pre-warmed WorkspacePool
-// workspace. Thread spawning, pool construction/pre-warm and the first
-// (growth) lap are setup; every later pass must leave the heap untouched on
-// both threads — the counting operator new is global, so worker-thread
-// allocations count too.
+// run_decode_batch over both jobs) out of its own thread workspace, which it
+// pre-warms on its own thread first. Thread spawning, the pre-warm and the
+// first (growth) lap are setup; every later pass must leave the heap
+// untouched on both threads — the counting operator new is global, so
+// worker-thread allocations count too.
 TEST(ZeroAllocTest, BatchedDecodeAcrossWorkersIsAllocationFreeWhenWarm) {
-  namespace rt = rtopex::runtime;
   UplinkConfig cfg;
   cfg.num_antennas = 2;
   const unsigned mcs = 27;
@@ -221,10 +219,9 @@ TEST(ZeroAllocTest, BatchedDecodeAcrossWorkersIsAllocationFreeWhenWarm) {
         std::vector<IqVector>(cfg.num_antennas, sent.back().samples));
   }
 
-  // Pool pre-warm (setup): a full dummy-subframe decode grows the
+  // Pre-warm (setup): a full dummy-subframe decode grows the
   // single-subframe buffers; the first worker lap below grows the
   // cross-subframe batch scratch to its two-job size.
-  const rt::NumaTopology topo = rt::detect_numa_topology();
   const auto prewarm = [&](DecodeWorkspace& ws) {
     auto job = rx.make_job();
     UplinkRxResult r;
@@ -238,7 +235,6 @@ TEST(ZeroAllocTest, BatchedDecodeAcrossWorkersIsAllocationFreeWhenWarm) {
     rx.run_decode_batch(job, ws);
     rx.finalize_into(job, ws, r);
   };
-  rt::WorkspacePool pool(topo, {}, kWorkers, prewarm);
 
   // Per-worker jobs/results built before the threads spawn (setup).
   std::vector<std::vector<UplinkRxJob>> jobs(kWorkers);
@@ -250,7 +246,7 @@ TEST(ZeroAllocTest, BatchedDecodeAcrossWorkersIsAllocationFreeWhenWarm) {
   std::atomic<unsigned> crc_failures{0};
 
   const auto run_pass = [&](std::size_t w) {
-    DecodeWorkspace& ws = pool.workspace(w);
+    DecodeWorkspace& ws = UplinkRxProcessor::thread_workspace();
     std::array<UplinkRxJob*, kPerWorker> batch{};
     for (std::size_t j = 0; j < kPerWorker; ++j) {
       UplinkRxJob& job = jobs[w][j];
@@ -282,6 +278,7 @@ TEST(ZeroAllocTest, BatchedDecodeAcrossWorkersIsAllocationFreeWhenWarm) {
   std::vector<std::thread> workers;
   for (std::size_t w = 0; w < kWorkers; ++w) {
     workers.emplace_back([&, w] {
+      prewarm(UplinkRxProcessor::thread_workspace());
       int seen = 0;
       for (;;) {
         std::unique_lock<std::mutex> lk(m);
@@ -324,7 +321,62 @@ TEST(ZeroAllocTest, BatchedDecodeAcrossWorkersIsAllocationFreeWhenWarm) {
       EXPECT_EQ(results[w][j].payload, sent[w * kPerWorker + j].payload);
 }
 
-// A pooled workspace is warmed by UplinkRxProcessor's pre-warm rule alone,
+// One reused job decoding a cycle of MCS with different code-block counts,
+// as a NodeRuntime worker does across its mcs_cycle: after one warm lap no
+// subframe may allocate, though every change of MCS shrinks or grows the
+// job's per-block results.
+TEST(ZeroAllocTest, JobCyclingThroughMcsIsAllocationFreeWhenWarm) {
+  UplinkConfig cfg;
+  cfg.num_antennas = 2;
+  const UplinkTransmitter tx(cfg);
+  const UplinkRxProcessor rx(cfg);
+  const unsigned cycle[] = {27, 16, 4};
+  std::vector<TxSubframe> sent;
+  std::vector<std::vector<IqVector>> antenna_sets;
+  for (std::uint32_t i = 0; i < std::size(cycle); ++i) {
+    sent.push_back(tx.transmit(cycle[i], i + 1, 300 + i));
+    antenna_sets.push_back(
+        std::vector<IqVector>(cfg.num_antennas, sent.back().samples));
+  }
+
+  auto job = rx.make_job();
+  DecodeWorkspace ws;
+  UplinkRxResult result;
+  unsigned crc_failures = 0;
+  std::vector<std::size_t> blocks;
+  const auto run_subframe = [&](std::size_t i) {
+    rx.begin(job, antenna_sets[i], cycle[i], static_cast<std::uint32_t>(i + 1));
+    for (std::size_t s = 0; s < rx.fft_subtask_count(); ++s)
+      rx.run_fft_subtask(job, s, ws);
+    rx.demod_prepare(job);
+    for (std::size_t s = 0; s < rx.demod_subtask_count(); ++s)
+      rx.run_demod_subtask(job, s);
+    rx.decode_prepare(job, ws);
+    for (std::size_t s = 0; s < rx.decode_subtask_count(job); ++s)
+      rx.run_decode_subtask(job, s, ws);
+    rx.finalize_into(job, ws, result);
+    if (!result.crc_ok) ++crc_failures;
+  };
+
+  for (std::size_t i = 0; i < std::size(cycle); ++i) {  // warm lap.
+    run_subframe(i);
+    blocks.push_back(job.cb_results.size());
+  }
+  ASSERT_EQ(crc_failures, 0u) << "noiseless warm-up subframe failed CRC";
+  ASSERT_GT(blocks[0], blocks[1]);  // each change of MCS resizes the results
+  ASSERT_GT(blocks[1], blocks[2]);
+
+  const std::size_t allocs = count_allocations([&] {
+    for (std::size_t rep = 0; rep < 3 * std::size(cycle); ++rep)
+      run_subframe(rep % std::size(cycle));
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(crc_failures, 0u);
+  EXPECT_EQ(job.cb_results.size(), blocks.back());
+  EXPECT_EQ(result.payload, sent.back().payload);
+}
+
+// A workspace is warmed by UplinkRxProcessor's pre-warm rule alone,
 // with no growth lap, and must then decode any span of the warmed MCS set
 // without touching the heap. At 10 MHz MCS 27 has the most blocks (six of
 // K = 5312) but MCS 26 the largest (five of K = 6080), so warming with the

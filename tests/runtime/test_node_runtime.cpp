@@ -13,6 +13,7 @@
 #include <tuple>
 
 #include "obs/prom_lint.hpp"
+#include "runtime/fault_injection.hpp"
 #include "runtime/node_runtime.hpp"
 #include "support/sanitizer_pacing.hpp"
 
@@ -131,7 +132,6 @@ TEST(NodeRuntimeTest, ThroughputBatchedDecodesEverything) {
     cfg.enforce_deadlines = false;
     cfg.subframes_per_bs = 6;
     cfg.throughput.batch = 8;
-    cfg.throughput.numa_pools = true;
     cfg.trace.enabled = true;
     cfg.profile.enabled = true;
     NodeRuntime runtime(cfg);
@@ -157,6 +157,63 @@ TEST(NodeRuntimeTest, ThroughputBatchedDecodesEverything) {
       EXPECT_EQ(fft_spans[id], 1) << "bs=" << r.bs << " idx=" << r.index;
       EXPECT_EQ(demod_spans[id], 1) << "bs=" << r.bs << " idx=" << r.index;
     }
+  }
+}
+
+TEST(NodeRuntimeTest, EveryModeStartsWithWarmScratch) {
+  // Every worker pre-warms its own workspace before the schedule starts, so
+  // no stage grows scratch memory mid-schedule, in any mode: the minor page
+  // faults (the software profiler reads them per thread) summed over a
+  // worker's stage spans, own and hosted, stay within a few pages from the
+  // first subframe on. A cold workspace faults in hundreds of pages over the
+  // first subframes. Only a fresh process shows that: an earlier run in the
+  // same process can hand its already-touched heap to a later one, and
+  // ctest runs each test in a process of its own.
+  if (test::pacing_scale() > 1)
+    GTEST_SKIP() << "sanitizer builds fault on shadow pages";
+  // Warm workers measured 0-1 faults each, cold ones 187-500 (one fresh
+  // process per mode).
+  constexpr std::uint64_t kFaultBound = 8;
+  struct Case {
+    const char* name;
+    RuntimeMode mode;
+    unsigned batch;
+  };
+  const Case cases[] = {{"rt-opex", RuntimeMode::kRtOpex, 1},
+                        {"partitioned", RuntimeMode::kPartitioned, 1},
+                        {"global", RuntimeMode::kGlobal, 1},
+                        {"global batch 16", RuntimeMode::kGlobal, 16}};
+  // Forces RT-OPEX to migrate, so its hosts run stages too.
+  fault::Hooks hooks;
+  hooks.plan_window = [](unsigned, unsigned, Duration& window) {
+    window = milliseconds(1000);
+  };
+  fault::ScopedInjection inject(std::move(hooks));
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto cfg = small_config(c.mode);
+    cfg.num_basestations = 1;
+    cfg.global_cores = 2;
+    cfg.subframes_per_bs = 40;
+    cfg.subframe_period = milliseconds(3);
+    cfg.deadline_budget = milliseconds(6);
+    cfg.enforce_deadlines = false;
+    // 10 MHz: MCS 27 has six code blocks, enough for an 8-lane batch pass.
+    cfg.phy.bandwidth = phy::Bandwidth::kMHz10;
+    cfg.mcs_cycle = {27, 16};
+    cfg.throughput.batch = c.batch;
+    cfg.profile.enabled = true;
+    cfg.profile.backend = obs::profile::Backend::kSoftware;
+    NodeRuntime runtime(cfg);
+    const auto report = runtime.run();
+    check_complete(report, cfg);
+    ASSERT_EQ(report.profile.drops, 0u);
+    if (c.mode == RuntimeMode::kRtOpex) EXPECT_GT(report.migrations, 0u);
+    std::map<std::uint32_t, std::uint64_t> faults;
+    for (const auto& s : report.profile.samples)
+      if (s.stage != obs::Stage::kNone) faults[s.core] += s.delta.minor_faults;
+    for (const auto& [worker, n] : faults)
+      EXPECT_LE(n, kFaultBound) << "worker " << worker;
   }
 }
 
@@ -267,11 +324,10 @@ TEST(NodeRuntimeTest, LiveSnapshotDeclaresThePostRunSeries) {
 }
 
 TEST(NodeRuntimeTest, ThroughputBatchOfOneMatchesDefaultContract) {
-  // batch=1 (the default) plus pools/pinning knobs must behave exactly like
+  // batch=1 (the default) plus the pinning knob must behave exactly like
   // the plain runtime: everything decodes, nothing reports as batched.
   auto cfg = small_config(RuntimeMode::kGlobal);
   cfg.throughput.batch = 1;
-  cfg.throughput.numa_pools = true;
   cfg.throughput.pin_workers = true;  // best-effort; may silently no-op
   NodeRuntime runtime(cfg);
   const auto report = runtime.run();

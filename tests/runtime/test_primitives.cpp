@@ -1,13 +1,12 @@
 // Unit tests of the real-thread runtime's building blocks: the migration
 // mailbox protocol, the packed CPU-state table, the global clock, and the
-// throughput-mode affinity helpers (cpulist parsing, NUMA discovery).
+// cpulist parsing behind the runtime's pin sets.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
-#include "common/thread_utils.hpp"
 #include "runtime/affinity.hpp"
 #include "runtime/clock.hpp"
 #include "runtime/cpu_state_table.hpp"
@@ -138,21 +137,6 @@ TEST(AffinityTest, SkipsMalformedCpulistFragments) {
   EXPECT_EQ(parse_cpulist("5-3,7"), (std::vector<unsigned>{7}));  // inverted
   EXPECT_EQ(parse_cpulist("0-999999999,2"), (std::vector<unsigned>{2}));
   EXPECT_TRUE(parse_cpulist("-,--,-1").empty());
-}
-
-TEST(AffinityTest, TopologyCoversEveryCoreAndMapsBack) {
-  const NumaTopology topo = detect_numa_topology();
-  ASSERT_GE(topo.num_nodes(), 1u);
-  std::size_t covered = 0;
-  for (std::size_t n = 0; n < topo.num_nodes(); ++n) {
-    EXPECT_FALSE(topo.node_cpus[n].empty()) << "CPU-less node " << n;
-    covered += topo.node_cpus[n].size();
-    for (const unsigned cpu : topo.node_cpus[n])
-      EXPECT_EQ(numa_node_of(topo, cpu), n);
-  }
-  EXPECT_GE(covered, hardware_core_count());
-  // CPUs in no node (offline / out of range) map to node 0.
-  EXPECT_EQ(numa_node_of(topo, 1u << 20), 0u);
 }
 
 TEST(GlobalClockTest, MonotoneAndSpinAccurate) {

@@ -67,7 +67,7 @@ TEST(ClaimCounterStress, EveryIndexExecutedExactlyOnce) {
 
 // One migrating thread runs the full publish/local/recover/revoke protocol
 // (mirroring NodeRuntime::run_stage_migrating) against a hosting thread
-// running the take/claim/release loop (mirroring rtopex_worker). Invariant:
+// running the take/claim/release loop (mirroring host_chunk). Invariant:
 // every subtask of every round executes exactly once, no matter how the two
 // sides interleave or where the host preempts.
 TEST(MailboxStress, HandshakeNeverDuplicatesOrLosesSubtasks) {
