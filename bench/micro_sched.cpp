@@ -18,9 +18,11 @@ void BM_MigrationPlanner(benchmark::State& state) {
   std::vector<sched::MigrationCandidate> cands;
   for (unsigned c = 0; c < n_cands; ++c)
     cands.push_back({c, microseconds(200 + 100 * c)});
-  for (auto _ : state)
-    benchmark::DoNotOptimize(sched::plan_migration(
-        6, microseconds(150), microseconds(20), cands));
+  sched::MigrationPlan plan;
+  for (auto _ : state) {
+    sched::plan_migration(6, microseconds(150), microseconds(20), cands, plan);
+    benchmark::DoNotOptimize(plan);
+  }
 }
 BENCHMARK(BM_MigrationPlanner)->Arg(2)->Arg(7)->Arg(15);
 

@@ -1,15 +1,23 @@
 // Self-overhead of the observability layer on the real-time path: the
-// per-event cost of Tracer::emit (lock-free SPSC push) and the per-span
-// cost of a ProfileSpan begin/end pair under the software counter backend
-// (the backend CI containers actually run). Gated in CI's perf-smoke job
-// against bench/baselines/BENCH_obs_overhead.json so an observability
-// change that slows the hot path fails the build.
+// per-event cost of Tracer::emit (lock-free SPSC push), the per-span cost of
+// a ProfileSpan begin/end pair under the software counter backend (the
+// backend CI containers actually run) and the per-sample cost of
+// Histogram::add, which the simulator calls about five times per subframe.
+// Gated in CI's perf-smoke job against
+// bench/baselines/BENCH_obs_overhead.json so an observability change that
+// slows the hot path fails the build; a benchmark without a baseline entry
+// is reported, not gated.
 //
 // Beyond the standard benchmark flags this binary understands
 // --json=PATH / --baseline=PATH / --threshold=PCT (see bench_gate.hpp).
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cmath>
+#include <cstdint>
+
 #include "bench_gate.hpp"
+#include "obs/histogram.hpp"
 #include "obs/profile/profile.hpp"
 #include "obs/tracer.hpp"
 
@@ -61,6 +69,28 @@ void BM_ProfileSpan(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_ProfileSpan);
+
+void BM_HistogramAdd(benchmark::State& state) {
+  // Sim-like latencies: integer nanoseconds read as microseconds, spread
+  // log-uniformly over 1 us .. 10 ms of the default layout and cycled from
+  // a table, so the loop times add() and not the sample generator.
+  std::array<double, 4096> samples{};
+  std::uint64_t lcg = 1;
+  for (double& x : samples) {
+    lcg = lcg * 6364136223846793005u + 1442695040888963407u;
+    const double u = static_cast<double>(lcg >> 11) * 0x1p-53;
+    x = std::round(std::pow(10.0, 3.0 + 4.0 * u)) / 1000.0;
+  }
+  Histogram h;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    h.add(samples[i++ & (samples.size() - 1)]);
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(h);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HistogramAdd);
 
 }  // namespace
 }  // namespace rtopex::obs

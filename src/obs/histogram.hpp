@@ -4,6 +4,13 @@
 // constant across the range and a percentile read is accurate to within one
 // bucket width. All operations are O(1) or O(buckets); memory is fixed at
 // construction, independent of sample count.
+//
+// add() picks the bucket without a log10: it estimates the bucket position
+// from the sample's binary exponent and a shared log2 table, and only when
+// that estimate lies within its error bound of a bucket edge does it
+// evaluate the reference rule floor(log10(x / lo) * buckets_per_decade).
+// Every sample therefore lands in exactly the bucket the reference rule
+// names.
 #pragma once
 
 #include <cstddef>
@@ -21,8 +28,9 @@ class Histogram {
   /// Geometric buckets over [lo, hi): bucket i spans
   /// [lo * g^i, lo * g^(i+1)) with g = 10^(1/buckets_per_decade). Samples
   /// below lo (or non-positive) land in the first bucket, samples at or
-  /// above hi in the last — total mass is always preserved. Throws
-  /// std::invalid_argument unless hi > lo > 0 and buckets_per_decade > 0.
+  /// above hi in the last (+inf included) — total mass is always preserved.
+  /// Throws std::invalid_argument unless hi > lo > 0, hi / lo is finite and
+  /// buckets_per_decade > 0.
   Histogram(double lo, double hi, unsigned buckets_per_decade);
 
   void add(double x);
@@ -66,11 +74,20 @@ class Histogram {
 
  private:
   std::size_t bucket_index(double x) const;
+  /// The reference rule: floor(log10(x / lo) * buckets_per_decade), clamped
+  /// to the last bucket (an infinite position included). Needs x > lo.
+  std::size_t exact_bucket_index(double x) const;
 
   double lo_ = 0.0;
   double hi_ = 0.0;
   unsigned buckets_per_decade_ = 0;
   double growth_ = 0.0;
+  // Fast-path constants. They are functions of the layout alone, so the
+  // defaulted operator== still compares layout and contents only.
+  double log2_lo_ = 0.0;       ///< log2(lo).
+  double per_octave_ = 0.0;    ///< buckets per octave: bpd * log10(2).
+  double edge_margin_ = 0.0;   ///< bound on the estimate's error, in buckets.
+  double last_pos_ = 0.0;      ///< (buckets - 1) + edge_margin_.
   std::vector<std::uint64_t> counts_;
   std::uint64_t count_ = 0;
   double sum_ = 0.0;

@@ -89,6 +89,8 @@ struct WorkerState {
   /// Set by the watchdog: excluded from migration planning and from the
   /// partition table from then on.
   std::atomic<bool> dead{false};
+  /// The worker's own Algorithm 1 plan, refilled by each stage it migrates.
+  sched::MigrationPlan plan;
   /// Set by the worker itself just before parking on a kill_worker hook.
   /// A parked worker has returned from its loop and will never touch job
   /// buffers again — unlike a watchdog-declared-dead worker, which may
@@ -448,9 +450,10 @@ struct NodeRuntime::Impl {
                   return a.free_window > b.free_window;
                 return a.core < b.core;
               });
-    const sched::MigrationPlan plan = sched::plan_migration(
-        static_cast<unsigned>(subtasks), std::max<Duration>(tp_estimate, 1),
-        migration_cost, cands);
+    sched::MigrationPlan& plan = workers[self_id]->plan;
+    sched::plan_migration(static_cast<unsigned>(subtasks),
+                          std::max<Duration>(tp_estimate, 1), migration_cost,
+                          cands, plan);
 
     // Publish chunks: claim target mailboxes; a failed claim (the core just
     // went active) simply keeps those subtasks local.

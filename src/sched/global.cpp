@@ -1,6 +1,6 @@
 #include "sched/global.hpp"
 
-#include <set>
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -25,13 +25,26 @@ sim::SchedulerMetrics GlobalScheduler::run(
       filtered ? std::span<const sim::SubframeWork>(*filtered) : work;
 
   // Pending queue keyed by the dispatch order (EDF: deadline; FIFO:
-  // arrival), with the insertion sequence as tie-break.
+  // arrival), with the insertion sequence as tie-break: a binary min-heap
+  // over one vector reserved for the whole run. (key, seq) pairs are
+  // unique, so the heap pops exactly in sorted-set order.
   const bool edf = config_.order == DispatchOrder::kEdf;
-  using Key = std::pair<TimePoint, std::size_t>;
-  auto key_of = [&](const sim::SubframeWork& w, std::size_t seq) {
-    return Key{edf ? w.deadline : w.arrival, seq};
+  struct Pending {
+    TimePoint key;
+    std::size_t seq;
+    const sim::SubframeWork* work;
   };
-  std::set<std::pair<Key, const sim::SubframeWork*>> pending;
+  // "Comes after": std::*_heap keep the greatest element on top.
+  const auto after = [](const Pending& a, const Pending& b) {
+    return a.key != b.key ? a.key > b.key : a.seq > b.seq;
+  };
+  std::vector<Pending> pending;
+  pending.reserve(active.size());
+  std::size_t seq = 0;
+  auto enqueue = [&](const sim::SubframeWork& w) {
+    pending.push_back({edf ? w.deadline : w.arrival, seq++, &w});
+    std::push_heap(pending.begin(), pending.end(), after);
+  };
 
   std::vector<TimePoint> free_at(config_.num_cores, 0);
   std::vector<int> last_bs(config_.num_cores, -1);
@@ -45,11 +58,13 @@ sim::SchedulerMetrics GlobalScheduler::run(
 
   // Earliest-free core; among cores idle at the dispatch instant the choice
   // is uniform at random (no basestation affinity — see GlobalConfig).
+  std::vector<unsigned> idle;
+  idle.reserve(config_.num_cores);
   auto choose_core = [&](TimePoint head_arrival) {
     TimePoint earliest = free_at[0];
     for (const TimePoint f : free_at) earliest = std::min(earliest, f);
     const TimePoint t0 = std::max(earliest, head_arrival);
-    std::vector<unsigned> idle;
+    idle.clear();
     for (unsigned c = 0; c < config_.num_cores; ++c)
       if (free_at[c] <= t0) idle.push_back(c);
     if (idle.empty()) {
@@ -63,23 +78,18 @@ sim::SchedulerMetrics GlobalScheduler::run(
   };
 
   std::size_t next = 0;
-  std::size_t seq = 0;
   while (next < active.size() || !pending.empty()) {
-    if (pending.empty()) {
-      pending.insert({key_of(active[next], seq++), &active[next]});
-      ++next;
-    }
+    if (pending.empty()) enqueue(active[next++]);
     // The earliest-free core serves the queue head; any subframe arriving
     // before that service instant joins the EDF choice first.
-    const TimePoint head_arrival = pending.begin()->second->arrival;
+    const TimePoint head_arrival = pending.front().work->arrival;
     const unsigned core_id = choose_core(head_arrival);
     const TimePoint t0 = std::max(free_at[core_id], head_arrival);
-    while (next < active.size() && active[next].arrival <= t0) {
-      pending.insert({key_of(active[next], seq++), &active[next]});
-      ++next;
-    }
-    const sim::SubframeWork& w = *pending.begin()->second;
-    pending.erase(pending.begin());
+    while (next < active.size() && active[next].arrival <= t0)
+      enqueue(active[next++]);
+    std::pop_heap(pending.begin(), pending.end(), after);
+    const sim::SubframeWork& w = *pending.back().work;
+    pending.pop_back();
 
     if (w.bs >= num_basestations_)
       throw std::invalid_argument("run: basestation id out of range");

@@ -5,14 +5,15 @@
 
 namespace rtopex::sched {
 
-MigrationPlan plan_migration(unsigned num_subtasks, Duration subtask_time,
-                             Duration migration_cost,
-                             std::span<const MigrationCandidate> candidates,
-                             const MigrationConstraints& constraints) {
+void plan_migration(unsigned num_subtasks, Duration subtask_time,
+                    Duration migration_cost,
+                    std::span<const MigrationCandidate> candidates,
+                    MigrationPlan& plan,
+                    const MigrationConstraints& constraints) {
   if (subtask_time <= 0)
     throw std::invalid_argument("plan_migration: subtask_time must be > 0");
 
-  MigrationPlan plan;
+  plan.chunks.clear();
   unsigned s = num_subtasks;   // S: subtasks not yet migrated
   unsigned max_off = 0;        // max migrated chunk so far
   for (const auto& cand : candidates) {
@@ -31,7 +32,6 @@ MigrationPlan plan_migration(unsigned num_subtasks, Duration subtask_time,
     s -= n_off;
   }
   plan.local_subtasks = s;
-  return plan;
 }
 
 }  // namespace rtopex::sched

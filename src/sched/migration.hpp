@@ -50,11 +50,15 @@ struct MigrationConstraints {
   bool local_keeps_majority = true;
 };
 
-/// Runs Algorithm 1. Candidates are considered in the order given (callers
-/// typically sort by descending window). `subtask_time` must be > 0.
-MigrationPlan plan_migration(unsigned num_subtasks, Duration subtask_time,
-                             Duration migration_cost,
-                             std::span<const MigrationCandidate> candidates,
-                             const MigrationConstraints& constraints = {});
+/// Runs Algorithm 1 into `plan`, which it clears first. Callers keep one
+/// plan and reuse it: once its `chunks` can hold one entry per candidate,
+/// planning never allocates. Candidates are considered in the order given
+/// (callers typically sort by descending window). `subtask_time` must be
+/// > 0.
+void plan_migration(unsigned num_subtasks, Duration subtask_time,
+                    Duration migration_cost,
+                    std::span<const MigrationCandidate> candidates,
+                    MigrationPlan& plan,
+                    const MigrationConstraints& constraints = {});
 
 }  // namespace rtopex::sched

@@ -24,6 +24,14 @@ struct CoreState {
   std::vector<std::pair<TimePoint, TimePoint>> own;
 };
 
+/// A migrated chunk executing on its remote core: it runs until it
+/// completes or its core is preempted by that core's next partitioned
+/// subframe (actual arrival).
+struct RunningChunk {
+  unsigned count;
+  TimePoint abort_at;
+};
+
 /// Outcome of running one parallelizable stage with migration.
 struct StageOutcome {
   TimePoint end = 0;
@@ -82,9 +90,25 @@ sim::SchedulerMetrics RtOpexScheduler::run(
       config_.unprovisioned_cores, metrics, tracer);
 
   std::vector<CoreState> cores(num_cores());
+  {
+    std::vector<std::size_t> own_count(cores.size(), 0);
+    for (const unsigned c : assign) ++own_count[c];
+    for (std::size_t c = 0; c < cores.size(); ++c)
+      cores[c].own.reserve(own_count[c]);
+  }
   for (std::size_t i = 0; i < active.size(); ++i)
     cores[assign[i]].own.emplace_back(
         active[i].radio_time + config_.rtt_half, active[i].arrival);
+
+  // Per-run scratch for the per-stage planning and execution below, sized
+  // for the most any stage can use (one entry per other core), so the
+  // subframe loop never allocates.
+  std::vector<MigrationCandidate> cands;
+  std::vector<RunningChunk> running;
+  MigrationPlan plan;
+  cands.reserve(cores.size());
+  running.reserve(cores.size());
+  plan.chunks.reserve(cores.size());
 
   std::optional<model::OnlineEstimators> estimators =
       make_estimators(config_.adaptive, num_basestations_);
@@ -103,9 +127,11 @@ sim::SchedulerMetrics RtOpexScheduler::run(
     return k.next_own < k.own.size() ? k.own[k.next_own].second : kNever;
   };
 
-  // Candidate idle cores for a migration decision taken at time `t`.
-  auto gather_candidates = [&](unsigned self, TimePoint t) {
-    std::vector<MigrationCandidate> cands;
+  // Candidate idle cores for a migration decision taken at time `t`, into
+  // `cands`.
+  auto gather_candidates =
+      [&](unsigned self, TimePoint t) -> std::span<const MigrationCandidate> {
+    cands.clear();
     for (unsigned k = 0; k < cores.size(); ++k) {
       if (k == self) continue;
       if (fails[k] <= t) continue;  // failed cores host nothing
@@ -146,14 +172,8 @@ sim::SchedulerMetrics RtOpexScheduler::run(
       return out;
     }
 
-    // Execute migrated chunks on their remote cores; each chunk runs until
-    // it completes or its core is preempted by that core's next partitioned
-    // subframe (actual arrival).
-    struct RunningChunk {
-      unsigned count;
-      TimePoint abort_at;
-    };
-    std::vector<RunningChunk> running;
+    // Execute migrated chunks on their remote cores.
+    running.clear();
     unsigned local_count = subtasks;
     for (const auto& chunk : plan.chunks) {
       CoreState& ck = cores[chunk.core];
@@ -262,10 +282,10 @@ sim::SchedulerMetrics RtOpexScheduler::run(
       const TimePoint fft_start = t;
       metrics.fft_subtasks_total += w.costs.fft_subtasks;
       if (config_.migrate_fft) {
-        const MigrationPlan plan = plan_migration(
-            w.costs.fft_subtasks, std::max<Duration>(w.costs.fft_subtask, 1),
-            config_.migration_cost, gather_candidates(self, t),
-            config_.constraints);
+        plan_migration(w.costs.fft_subtasks,
+                       std::max<Duration>(w.costs.fft_subtask, 1),
+                       config_.migration_cost, gather_candidates(self, t),
+                       plan, config_.constraints);
         const StageOutcome so = run_stage(t, plan, w.costs.fft_subtasks,
                                           w.costs.fft_subtask, w, self,
                                           obs::Stage::kFft);
@@ -307,15 +327,15 @@ sim::SchedulerMetrics RtOpexScheduler::run(
       const Duration planning_subtask =
           adaptive ? adaptive->decode_subtask_or(w.wcet.decode_subtask)
                    : w.wcet.decode_subtask;
-      MigrationPlan plan;  // empty unless decode migration is enabled
+      plan.chunks.clear();  // empty unless decode migration is enabled
       unsigned planned_local = w.wcet.decode_subtasks;
       if (config_.migrate_decode && w.costs.decode_subtasks > 1) {
         const TimePoint par_start_pred = t + w.wcet.decode_serial();
-        plan = plan_migration(
-            w.wcet.decode_subtasks,
-            std::max<Duration>(planning_subtask, 1),
-            config_.migration_cost, gather_candidates(self, par_start_pred),
-            config_.constraints);
+        plan_migration(w.wcet.decode_subtasks,
+                       std::max<Duration>(planning_subtask, 1),
+                       config_.migration_cost,
+                       gather_candidates(self, par_start_pred), plan,
+                       config_.constraints);
         planned_local = plan.local_subtasks;
       }
       // The full estimate is the post-migration local worst case costed

@@ -4,13 +4,16 @@
 #include <fstream>
 
 #include "common/csv.hpp"
+#include "support/temp_path.hpp"
 
 namespace rtopex {
 namespace {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/rtopex_csv_test.csv";
+  // One file per test case: cases may run in parallel processes.
+  std::string path_;
+  void SetUp() override { path_ = test::temp_path_for_this_test(".csv"); }
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

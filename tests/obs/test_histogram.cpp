@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <ostream>
 #include <stdexcept>
 #include <vector>
 
@@ -32,6 +36,10 @@ TEST(HistogramTest, RejectsBadLayout) {
   EXPECT_THROW(Histogram(100.0, 100.0, 10), std::invalid_argument);
   EXPECT_THROW(Histogram(100.0, 10.0, 10), std::invalid_argument);
   EXPECT_THROW(Histogram(1.0, 100.0, 0), std::invalid_argument);
+  // hi / lo must be finite: the bucket count is derived from it.
+  EXPECT_THROW(Histogram(1e-300, 1e300, 1), std::invalid_argument);
+  EXPECT_THROW(Histogram(1.0, std::numeric_limits<double>::infinity(), 1),
+               std::invalid_argument);
 }
 
 TEST(HistogramTest, MomentsAreExact) {
@@ -126,6 +134,122 @@ TEST(HistogramTest, EqualityIsBucketExact) {
   b.add(11.0);
   EXPECT_NE(a, b);
 }
+
+// Bucket exactness: add() picks the bucket from a log2-table estimate and
+// falls back to the reference rule only near bucket edges. Every sample
+// must still land where the reference rule puts it.
+struct Layout {
+  double lo;
+  double hi;
+  unsigned buckets_per_decade;
+};
+void PrintTo(const Layout& l, std::ostream* os) {
+  *os << "(" << l.lo << ", " << l.hi << ", " << l.buckets_per_decade << ")";
+}
+constexpr Layout kDefaultLayout{0.1, 1e7, 24};
+constexpr Layout kHealthLayout{0.1, 1e5, 8};  // the health monitor's
+
+/// The reference rule: floor(log10(x / lo) * bpd), samples at or below lo
+/// (and NaN) in bucket 0, every position past the last bucket (+inf
+/// included) in the last.
+std::size_t reference_bucket(const Layout& l, std::size_t buckets, double x) {
+  if (!(x > l.lo)) return 0;
+  const double pos = std::floor(std::log10(x / l.lo) *
+                                static_cast<double>(l.buckets_per_decade));
+  if (!(pos < static_cast<double>(buckets - 1))) return buckets - 1;
+  return static_cast<std::size_t>(pos);
+}
+
+/// Adds each sample and checks that exactly the reference bucket grew.
+/// Returns the number of mismatches (reported for the first few).
+std::size_t count_mismatches(const Layout& l, const std::vector<double>& xs) {
+  Histogram h(l.lo, l.hi, l.buckets_per_decade);
+  std::size_t bad = 0;
+  for (const double x : xs) {
+    const std::size_t want = reference_bucket(l, h.bucket_count(), x);
+    const std::uint64_t before = h.bucket(want);
+    h.add(x);
+    if (h.bucket(want) != before + 1 && ++bad <= 5)
+      ADD_FAILURE() << "x = " << x << " (bits 0x" << std::hex
+                    << std::bit_cast<std::uint64_t>(x) << std::dec
+                    << ") missed reference bucket " << want;
+  }
+  EXPECT_EQ(h.count(), xs.size());
+  return bad;
+}
+
+/// Every bucket edge, computed two ways, with its +-1..4-ulp neighbours.
+std::vector<double> edge_samples(const Layout& l) {
+  const Histogram h(l.lo, l.hi, l.buckets_per_decade);
+  std::vector<double> xs;
+  auto around = [&](double edge) {
+    double up = edge, down = edge;
+    xs.push_back(edge);
+    for (int k = 0; k < 4; ++k) {
+      up = std::nextafter(up, std::numeric_limits<double>::infinity());
+      down = std::nextafter(down, 0.0);
+      xs.push_back(up);
+      xs.push_back(down);
+    }
+  };
+  for (std::size_t i = 0; i < h.bucket_count(); ++i) {
+    around(h.bucket_lower(i));
+    around(h.bucket_upper(i));
+    const double exponent = static_cast<double>(i) /
+                            static_cast<double>(l.buckets_per_decade);
+    around(l.lo * std::pow(10.0, exponent));
+  }
+  for (const double decade : {1.0, 10.0, 100.0, 1000.0}) around(decade);
+  return xs;
+}
+
+class HistogramBucketTest : public ::testing::TestWithParam<Layout> {};
+
+TEST_P(HistogramBucketTest, EdgesAndTheirUlpNeighboursMatchReference) {
+  EXPECT_EQ(count_mismatches(GetParam(), edge_samples(GetParam())), 0u);
+}
+
+TEST_P(HistogramBucketTest, IntegerNanosecondsMatchReference) {
+  // Sim latencies are integer nanoseconds divided by 1000: every value from
+  // 1 ns to 2 ms.
+  std::vector<double> xs;
+  for (int k = 1; k <= 2'000'000; ++k) xs.push_back(k / 1000.0);
+  EXPECT_EQ(count_mismatches(GetParam(), xs), 0u);
+}
+
+TEST_P(HistogramBucketTest, RandomValuesAcrossTheRangeMatchReference) {
+  const Layout& l = GetParam();
+  Rng rng(7);
+  std::vector<double> xs;
+  const double lg_lo = std::log10(l.lo) - 1.0, lg_hi = std::log10(l.hi) + 1.0;
+  for (int k = 0; k < 500'000; ++k)
+    xs.push_back(std::pow(10.0, lg_lo + (lg_hi - lg_lo) * rng.uniform()));
+  EXPECT_EQ(count_mismatches(l, xs), 0u);
+}
+
+TEST_P(HistogramBucketTest, OutOfRangeAndSpecialValuesMatchReference) {
+  const Layout& l = GetParam();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> xs = {
+      l.lo, std::nextafter(l.lo, 0.0), l.lo / 2, 0.0, -0.0, -1.0, -kInf,
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(), l.hi, std::nextafter(l.hi, kInf),
+      l.hi * 10, 1e300, std::numeric_limits<double>::max(), kInf};
+  EXPECT_EQ(count_mismatches(l, xs), 0u);
+  // +inf and x / lo overflowing land in the last bucket by rule, not by an
+  // out-of-range float-to-integer conversion.
+  Histogram h(l.lo, l.hi, l.buckets_per_decade);
+  h.add(kInf);
+  h.add(std::numeric_limits<double>::max());
+  EXPECT_EQ(h.bucket(h.bucket_count() - 1), 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Layouts, HistogramBucketTest,
+                         ::testing::Values(kDefaultLayout, kHealthLayout),
+                         [](const auto& info) {
+                           return info.index == 0 ? "Default" : "Health";
+                         });
 
 }  // namespace
 }  // namespace rtopex::obs

@@ -1,11 +1,14 @@
-// Zero-allocation guarantee for the steady-state uplink hot path.
+// Zero-allocation guarantee for the steady-state uplink hot path, and for
+// the virtual-time node's per-subframe path.
 //
 // This binary replaces the global operator new/delete with counting
 // versions. Each test warms a job + workspace (grow-only buffers reach
 // their high-water mark), then flips the counter on and drives further
 // subframes through the exact entry points the runtime workers use — the
 // counter must stay at zero. Assertions run outside the measured region so
-// gtest's own bookkeeping never pollutes the count.
+// gtest's own bookkeeping never pollutes the count. The simulator tests
+// count whole scheduler runs instead: a run allocates its per-run buffers,
+// so the check is that the count does not grow with the workload.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -14,9 +17,11 @@
 #include <cstdlib>
 #include <mutex>
 #include <new>
+#include <optional>
 #include <thread>
 
 #include "common/rng.hpp"
+#include "core/experiment.hpp"
 #include "obs/profile/profile.hpp"
 #include "phy/turbo.hpp"
 #include "phy/uplink_rx.hpp"
@@ -27,22 +32,39 @@ namespace {
 std::atomic<std::size_t> g_allocations{0};
 std::atomic<bool> g_counting{false};
 
-void* counted_alloc(std::size_t size) {
+void* counted_alloc_or_null(std::size_t size) noexcept {
   if (g_counting.load(std::memory_order_relaxed))
     g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size ? size : 1);
+  return std::malloc(size ? size : 1);
+}
+
+void* counted_alloc(std::size_t size) {
+  void* p = counted_alloc_or_null(size);
   if (!p) throw std::bad_alloc();
   return p;
 }
 
 }  // namespace
 
+// The nothrow forms are replaced too (std::stable_sort's temporary buffer
+// uses them): every form here frees with std::free, so a nothrow allocation
+// left to the sanitizer runtime would be a new/free mismatch.
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc_or_null(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc_or_null(size);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace rtopex::phy {
 namespace {
@@ -472,3 +494,57 @@ TEST(ZeroAllocTest, ProfileSpanSteadyStateIsAllocationFree) {
 
 }  // namespace
 }  // namespace rtopex::phy
+
+namespace rtopex::core {
+namespace {
+
+// The virtual-time node allocates per run, never per subframe: a warm
+// scheduler run (the what-if grid's configuration at one load) makes the
+// same number of allocations over 2,000 subframes as over 4,000, for every
+// policy, static and adaptive.
+TEST(SimAllocTest, SchedulerRunAllocationsDoNotGrowWithTheWorkload) {
+  ExperimentConfig cfg;
+  cfg.workload.num_basestations = 4;
+  cfg.workload.seed = 1;
+  cfg.workload.mean_load_override = 0.8;
+  cfg.rtt_half = microseconds(500);
+  cfg.global.num_cores = 8;
+  cfg.workload.subframes_per_bs = 500;
+  const std::vector<sim::SubframeWork> short_work = make_workload(cfg);
+  cfg.workload.subframes_per_bs = 1000;
+  const std::vector<sim::SubframeWork> long_work = make_workload(cfg);
+  ASSERT_EQ(short_work.size(), 2000u);
+  ASSERT_EQ(long_work.size(), 4000u);
+
+  for (const SchedulerKind kind :
+       {SchedulerKind::kPartitioned, SchedulerKind::kGlobal,
+        SchedulerKind::kRtOpex}) {
+    for (const bool adaptive : {false, true}) {
+      cfg.scheduler = kind;
+      cfg.adaptive.enabled = adaptive;
+      run_scheduler(cfg, short_work);  // warm-up
+      std::size_t migrated = 0;
+      const auto allocations = [&](std::span<const sim::SubframeWork> work) {
+        std::optional<ExperimentResult> r;
+        const std::size_t n = rtopex::phy::count_allocations(
+            [&] { r = run_scheduler(cfg, work); });
+        EXPECT_EQ(r->metrics.total_subframes, work.size());
+        migrated += r->metrics.fft_subtasks_migrated +
+                    r->metrics.decode_subtasks_migrated;
+        return n;
+      };
+      const std::size_t n_short = allocations(short_work);
+      const std::size_t n_long = allocations(long_work);
+      EXPECT_EQ(n_short, n_long)
+          << to_string(kind) << (adaptive ? " adaptive" : " static");
+      // RT-OPEX must actually have planned migrations for the count to
+      // cover Algorithm 1's path.
+      if (kind == SchedulerKind::kRtOpex) {
+        EXPECT_GT(migrated, 0u);
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace rtopex::core

@@ -10,14 +10,16 @@ namespace rtopex::sched {
 namespace {
 
 TEST(MigrationPlanTest, NoCandidatesKeepsEverythingLocal) {
-  const auto plan = plan_migration(6, microseconds(100), microseconds(20), {});
+  MigrationPlan plan;
+  plan_migration(6, microseconds(100), microseconds(20), {}, plan);
   EXPECT_TRUE(plan.chunks.empty());
   EXPECT_EQ(plan.local_subtasks, 6u);
 }
 
 TEST(MigrationPlanTest, SingleSubtaskNeverMigrates) {
   const std::vector<MigrationCandidate> cands = {{1, milliseconds(10)}};
-  const auto plan = plan_migration(1, microseconds(100), microseconds(20), cands);
+  MigrationPlan plan;
+  plan_migration(1, microseconds(100), microseconds(20), cands, plan);
   EXPECT_TRUE(plan.chunks.empty());
   EXPECT_EQ(plan.local_subtasks, 1u);
 }
@@ -25,7 +27,8 @@ TEST(MigrationPlanTest, SingleSubtaskNeverMigrates) {
 TEST(MigrationPlanTest, LargeWindowTakesHalf) {
   // R3: at most floor(S/2) to one core.
   const std::vector<MigrationCandidate> cands = {{1, milliseconds(100)}};
-  const auto plan = plan_migration(6, microseconds(100), microseconds(20), cands);
+  MigrationPlan plan;
+  plan_migration(6, microseconds(100), microseconds(20), cands, plan);
   ASSERT_EQ(plan.chunks.size(), 1u);
   EXPECT_EQ(plan.chunks[0].count, 3u);
   EXPECT_EQ(plan.local_subtasks, 3u);
@@ -34,7 +37,8 @@ TEST(MigrationPlanTest, LargeWindowTakesHalf) {
 TEST(MigrationPlanTest, WindowLimitsChunkSize) {
   // R1: lim_off = floor(f_ck / (t_p + delta)).
   const std::vector<MigrationCandidate> cands = {{1, microseconds(250)}};
-  const auto plan = plan_migration(8, microseconds(100), microseconds(20), cands);
+  MigrationPlan plan;
+  plan_migration(8, microseconds(100), microseconds(20), cands, plan);
   ASSERT_EQ(plan.chunks.size(), 1u);
   EXPECT_EQ(plan.chunks[0].count, 2u);  // 250 / 120 = 2
   EXPECT_EQ(plan.local_subtasks, 6u);
@@ -45,7 +49,8 @@ TEST(MigrationPlanTest, SecondCoreRespectsR2) {
   // migration (S - max_off = 0).
   const std::vector<MigrationCandidate> cands = {{1, milliseconds(100)},
                                                  {2, milliseconds(100)}};
-  const auto plan = plan_migration(6, microseconds(100), microseconds(20), cands);
+  MigrationPlan plan;
+  plan_migration(6, microseconds(100), microseconds(20), cands, plan);
   ASSERT_EQ(plan.chunks.size(), 1u);
   EXPECT_EQ(plan.local_subtasks, 3u);
 }
@@ -54,7 +59,8 @@ TEST(MigrationPlanTest, NarrowWindowsSpreadAcrossCores) {
   // Windows of 1 subtask each: 2 cores get one each before R2/R3 bind.
   const std::vector<MigrationCandidate> cands = {
       {1, microseconds(130)}, {2, microseconds(130)}, {3, microseconds(130)}};
-  const auto plan = plan_migration(6, microseconds(100), microseconds(20), cands);
+  MigrationPlan plan;
+  plan_migration(6, microseconds(100), microseconds(20), cands, plan);
   EXPECT_EQ(plan.migrated_total() + plan.local_subtasks, 6u);
   for (const auto& c : plan.chunks) EXPECT_EQ(c.count, 1u);
   EXPECT_GE(plan.chunks.size(), 2u);
@@ -62,13 +68,37 @@ TEST(MigrationPlanTest, NarrowWindowsSpreadAcrossCores) {
 
 TEST(MigrationPlanTest, ZeroWindowCoresSkipped) {
   const std::vector<MigrationCandidate> cands = {{1, 0}, {2, microseconds(10)}};
-  const auto plan = plan_migration(4, microseconds(100), microseconds(20), cands);
+  MigrationPlan plan;
+  plan_migration(4, microseconds(100), microseconds(20), cands, plan);
   EXPECT_TRUE(plan.chunks.empty());
   EXPECT_EQ(plan.local_subtasks, 4u);
 }
 
+TEST(MigrationPlanTest, ReusedPlanIsRefilledFromScratch) {
+  // The caller owns the plan: a second call replaces the first plan's
+  // chunks and local count instead of appending to them.
+  const std::vector<MigrationCandidate> cands = {{1, microseconds(250)},
+                                                 {2, microseconds(130)}};
+  MigrationPlan plan;
+  plan_migration(8, microseconds(100), microseconds(20), cands, plan);
+  ASSERT_EQ(plan.chunks.size(), 2u);
+  plan_migration(6, microseconds(100), microseconds(20), {}, plan);
+  EXPECT_TRUE(plan.chunks.empty());
+  EXPECT_EQ(plan.local_subtasks, 6u);
+  MigrationPlan fresh;
+  plan_migration(8, microseconds(100), microseconds(20), cands, fresh);
+  plan_migration(8, microseconds(100), microseconds(20), cands, plan);
+  ASSERT_EQ(plan.chunks.size(), fresh.chunks.size());
+  for (std::size_t i = 0; i < plan.chunks.size(); ++i) {
+    EXPECT_EQ(plan.chunks[i].core, fresh.chunks[i].core);
+    EXPECT_EQ(plan.chunks[i].count, fresh.chunks[i].count);
+  }
+  EXPECT_EQ(plan.local_subtasks, fresh.local_subtasks);
+}
+
 TEST(MigrationPlanTest, RejectsNonPositiveSubtaskTime) {
-  EXPECT_THROW(plan_migration(4, 0, microseconds(20), {}),
+  MigrationPlan plan;
+  EXPECT_THROW(plan_migration(4, 0, microseconds(20), {}, plan),
                std::invalid_argument);
 }
 
@@ -87,7 +117,9 @@ TEST_P(MigrationPropertyTest, InvariantsHoldForRandomInputs) {
       cands.push_back(
           {c, microseconds(static_cast<std::int64_t>(rng.uniform_int(3000)))});
 
-    const auto plan = plan_migration(subtasks, tp, delta, cands);
+    MigrationPlan plan;
+
+    plan_migration(subtasks, tp, delta, cands, plan);
 
     // Conservation: every subtask is either local or migrated exactly once.
     EXPECT_EQ(plan.local_subtasks + plan.migrated_total(), subtasks);
@@ -131,7 +163,9 @@ TEST_P(MigrationReplayTest, ChunksMatchAlgorithmOneStepByStep) {
       cands.push_back(
           {c, microseconds(static_cast<std::int64_t>(rng.uniform_int(5000)))});
 
-    const auto plan = plan_migration(subtasks, tp, delta, cands);
+    MigrationPlan plan;
+
+    plan_migration(subtasks, tp, delta, cands, plan);
 
     // Replay: walk the candidate list with the paper's formula and demand
     // the planner produced exactly the same chunk at every step.
@@ -172,15 +206,15 @@ TEST(MigrationPlanTest, EmptyCandidatesAlwaysAllLocal) {
   // The empty-candidate input must yield an all-local plan for any S,
   // including with the ablation constraints disabled.
   for (unsigned s : {0u, 1u, 2u, 7u, 64u}) {
-    const auto plan =
-        plan_migration(s, microseconds(100), microseconds(20), {});
+    MigrationPlan plan;
+    plan_migration(s, microseconds(100), microseconds(20), {}, plan);
     EXPECT_TRUE(plan.chunks.empty());
     EXPECT_EQ(plan.local_subtasks, s);
     MigrationConstraints loose;
     loose.local_covers_largest_chunk = false;
     loose.local_keeps_majority = false;
-    const auto plan2 =
-        plan_migration(s, microseconds(100), microseconds(20), {}, loose);
+    MigrationPlan plan2;
+    plan_migration(s, microseconds(100), microseconds(20), {}, plan2, loose);
     EXPECT_TRUE(plan2.chunks.empty());
     EXPECT_EQ(plan2.local_subtasks, s);
   }
@@ -196,7 +230,8 @@ TEST(MigrationPlanTest, LimOffIsExactlyFloorWindowOverPerSubtaskCost) {
     // Window one ns short of k subtasks -> k - 1 fit.
     const std::vector<MigrationCandidate> below = {
         {1, static_cast<Duration>(k) * per - 1}};
-    const auto plan_below = plan_migration(100, tp, delta, below);
+    MigrationPlan plan_below;
+    plan_migration(100, tp, delta, below, plan_below);
     ASSERT_LE(plan_below.chunks.size(), 1u);
     const unsigned got_below =
         plan_below.chunks.empty() ? 0 : plan_below.chunks[0].count;
@@ -204,7 +239,8 @@ TEST(MigrationPlanTest, LimOffIsExactlyFloorWindowOverPerSubtaskCost) {
     // Window of exactly k subtasks -> k fit.
     const std::vector<MigrationCandidate> at = {
         {1, static_cast<Duration>(k) * per}};
-    const auto plan_at = plan_migration(100, tp, delta, at);
+    MigrationPlan plan_at;
+    plan_migration(100, tp, delta, at, plan_at);
     ASSERT_EQ(plan_at.chunks.size(), 1u);
     EXPECT_EQ(plan_at.chunks[0].count, k);
   }
@@ -214,8 +250,8 @@ TEST(MigrationPlanTest, NeverMigratesMoreThanHalfPerStep) {
   // One enormous window: R3 alone must cap the chunk at floor(S/2).
   for (unsigned s = 2; s <= 33; ++s) {
     const std::vector<MigrationCandidate> cands = {{1, milliseconds(10'000)}};
-    const auto plan =
-        plan_migration(s, microseconds(50), microseconds(10), cands);
+    MigrationPlan plan;
+    plan_migration(s, microseconds(50), microseconds(10), cands, plan);
     ASSERT_EQ(plan.chunks.size(), 1u);
     EXPECT_EQ(plan.chunks[0].count, s / 2);
     EXPECT_EQ(plan.local_subtasks, s - s / 2);

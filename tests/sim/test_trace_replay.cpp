@@ -8,13 +8,16 @@
 #include "sim/workload.hpp"
 #include "trace/load_trace.hpp"
 #include "transport/transport.hpp"
+#include "support/temp_path.hpp"
 
 namespace rtopex::sim {
 namespace {
 
 class TraceReplayTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/rtopex_replay.csv";
+  // One file per test case: cases may run in parallel processes.
+  std::string path_;
+  void SetUp() override { path_ = test::temp_path_for_this_test(".csv"); }
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
