@@ -101,7 +101,7 @@ PipelineResult run_pipeline(unsigned bs, std::size_t subframes,
   cfg.global_cores = 1;
   if (batched) {
     cfg.throughput.batch = 16;
-    cfg.throughput.pin_workers = true;
+    cfg.pin_threads = true;
   }
   runtime::NodeRuntime node(cfg);
   const std::uint64_t c0 = process_cpu_ns();
@@ -178,7 +178,7 @@ unsigned sweep_max_bs(unsigned max_bs, long period_ms, std::size_t subframes) {
       cfg.deadline_budget = milliseconds(2 * period_ms);
       cfg.rtt_half = microseconds(100);
       cfg.throughput.batch = 16;
-      cfg.throughput.pin_workers = true;
+      cfg.pin_threads = true;
       runtime::NodeRuntime node(cfg);
       const runtime::RuntimeReport report = node.run();
       const double total = static_cast<double>(report.records.size());

@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
   const obs::TraceStore captured = tracer.take();
 
   analysis::ReplayConfig rcfg;
-  rcfg.policy = analysis::ReplayConfig::Policy::kPartitioned;
+  rcfg.policy = core::SchedulerKind::kPartitioned;
   rcfg.partitioned.rtt_half = rcap.rtt_half;
   rcfg.partitioned.degrade = rcap.degrade;
   rcfg.rtopex.rtt_half = rcap.rtt_half;
@@ -173,7 +173,7 @@ int main(int argc, char** argv) {
   const analysis::ReportDelta identity =
       analysis::diff_reports(original, same.report);
 
-  rcfg.policy = analysis::ReplayConfig::Policy::kRtOpex;
+  rcfg.policy = core::SchedulerKind::kRtOpex;
   const analysis::ReplayResult counter = analysis::replay(captured, rcfg);
   const analysis::ReportDelta what_if =
       analysis::diff_reports(same.report, counter.report);

@@ -182,7 +182,6 @@ int main(int argc, char** argv) {
                    cfg.throughput.worker_cores.size(), workers);
       return 1;
     }
-    cfg.throughput.pin_workers = true;
   }
   cfg.subframes_per_bs = subframes;
   cfg.subframe_period = microseconds(static_cast<long>(period_ms * 1000.0));

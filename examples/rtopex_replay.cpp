@@ -43,14 +43,14 @@ namespace {
 using namespace rtopex;
 namespace analysis = obs::analysis;
 
-bool parse_policy(const char* name, analysis::ReplayConfig::Policy& out) {
+bool parse_policy(const char* name, core::SchedulerKind& out) {
   if (std::strcmp(name, "partitioned") == 0) {
-    out = analysis::ReplayConfig::Policy::kPartitioned;
+    out = core::SchedulerKind::kPartitioned;
   } else if (std::strcmp(name, "global") == 0) {
-    out = analysis::ReplayConfig::Policy::kGlobal;
+    out = core::SchedulerKind::kGlobal;
   } else if (std::strcmp(name, "rt-opex") == 0 ||
              std::strcmp(name, "rtopex") == 0) {
-    out = analysis::ReplayConfig::Policy::kRtOpex;
+    out = core::SchedulerKind::kRtOpex;
   } else {
     return false;
   }
@@ -82,8 +82,8 @@ obs::TraceStore demo_trace(Duration rtt_half, bool degrade) {
 
 int main(int argc, char** argv) {
   std::string trace_path, out_dir = ".", diff_json_path;
-  auto policy = analysis::ReplayConfig::Policy::kPartitioned;
-  auto compare = analysis::ReplayConfig::Policy::kPartitioned;
+  auto policy = core::SchedulerKind::kPartitioned;
+  auto compare = core::SchedulerKind::kPartitioned;
   bool have_compare = false;
   bool self_check = false;
   bool expect_identity = false;
@@ -178,7 +178,7 @@ int main(int argc, char** argv) {
     std::printf("baseline %s\n", analysis::summary_json(baseline).c_str());
 
     const analysis::ReplayResult primary = analysis::replay(store, rcfg);
-    std::printf("replay[%s] %s\n", analysis::to_string(policy),
+    std::printf("replay[%s] %s\n", core::to_string(policy),
                 analysis::summary_json(primary.report).c_str());
 
     int failures = 0;
@@ -217,11 +217,11 @@ int main(int argc, char** argv) {
       analysis::ReplayConfig ccfg = rcfg;
       ccfg.policy = compare;
       const analysis::ReplayResult counter = analysis::replay(store, ccfg);
-      std::printf("replay[%s] %s\n", analysis::to_string(compare),
+      std::printf("replay[%s] %s\n", core::to_string(compare),
                   analysis::summary_json(counter.report).c_str());
       last_delta = analysis::diff_reports(primary.report, counter.report);
       std::fprintf(stderr, "counterfactual (%s - %s): misses %+lld\n",
-                   analysis::to_string(compare), analysis::to_string(policy),
+                   core::to_string(compare), core::to_string(policy),
                    last_delta.misses);
     }
 

@@ -56,9 +56,9 @@ struct RehomeRecord {
 }  // namespace
 
 unsigned ClusterSim::cores_per_bs() const {
-  const Duration tmax = kEndToEndBudget - node_config_.rtt_half;
-  return static_cast<unsigned>((tmax + kSubframePeriod - 1) /
-                               kSubframePeriod);
+  sched::PartitionedConfig partition;
+  partition.rtt_half = node_config_.rtt_half;
+  return partition.cores_per_bs();
 }
 
 ClusterSim::ClusterSim(const core::ExperimentConfig& node_config,

@@ -7,15 +7,6 @@
 
 namespace rtopex::core {
 
-const char* to_string(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::kPartitioned: return "partitioned";
-    case SchedulerKind::kGlobal: return "global";
-    case SchedulerKind::kRtOpex: return "rt-opex";
-  }
-  return "unknown";
-}
-
 std::vector<sim::SubframeWork> make_workload(const ExperimentConfig& config) {
   std::unique_ptr<transport::TransportModel> transport;
   if (config.stochastic_transport) {

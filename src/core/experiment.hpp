@@ -15,9 +15,8 @@
 
 namespace rtopex::core {
 
-enum class SchedulerKind { kPartitioned, kGlobal, kRtOpex };
-
-const char* to_string(SchedulerKind kind);
+using sched::SchedulerKind;
+using sched::to_string;
 
 struct ExperimentConfig {
   sim::WorkloadConfig workload;

@@ -144,15 +144,6 @@ std::vector<sim::SubframeWork> recover_workload(const TraceStore& store) {
   return work;
 }
 
-const char* to_string(ReplayConfig::Policy policy) {
-  switch (policy) {
-    case ReplayConfig::Policy::kPartitioned: return "partitioned";
-    case ReplayConfig::Policy::kGlobal: return "global";
-    case ReplayConfig::Policy::kRtOpex: return "rt-opex";
-  }
-  return "unknown";
-}
-
 ReplayResult replay(std::span<const sim::SubframeWork> workload,
                     const ReplayConfig& config) {
   unsigned num_bs = config.num_basestations;
@@ -171,21 +162,21 @@ ReplayResult replay(std::span<const sim::SubframeWork> workload,
                                       config.max_stored_events);
   };
   switch (config.policy) {
-    case ReplayConfig::Policy::kPartitioned: {
+    case sched::SchedulerKind::kPartitioned: {
       sched::PartitionedConfig pc = config.partitioned;
       make_tracer(num_bs * pc.cores_per_bs());
       pc.tracer = tracer.get();
       scheduler = std::make_unique<sched::PartitionedScheduler>(num_bs, pc);
       break;
     }
-    case ReplayConfig::Policy::kGlobal: {
+    case sched::SchedulerKind::kGlobal: {
       sched::GlobalConfig gc = config.global;
       make_tracer(gc.num_cores);
       gc.tracer = tracer.get();
       scheduler = std::make_unique<sched::GlobalScheduler>(num_bs, gc);
       break;
     }
-    case ReplayConfig::Policy::kRtOpex: {
+    case sched::SchedulerKind::kRtOpex: {
       sched::RtOpexConfig rc = config.rtopex;
       make_tracer(num_bs * rc.cores_per_bs());
       rc.tracer = tracer.get();

@@ -72,8 +72,7 @@ std::vector<sim::SubframeWork> recover_workload(const TraceStore& store);
 
 /// Scheduler/config to re-run a workload under, in virtual time.
 struct ReplayConfig {
-  enum class Policy { kPartitioned, kGlobal, kRtOpex };
-  Policy policy = Policy::kPartitioned;
+  sched::SchedulerKind policy = sched::SchedulerKind::kPartitioned;
   sched::PartitionedConfig partitioned;
   sched::GlobalConfig global;
   sched::RtOpexConfig rtopex;
@@ -86,8 +85,6 @@ struct ReplayConfig {
   /// nominal_transport for faithful cloud-tail attribution).
   AnalyzerOptions analyzer;
 };
-
-const char* to_string(ReplayConfig::Policy policy);
 
 struct ReplayResult {
   AnalysisReport report;          ///< postmortem of the replayed run.

@@ -236,9 +236,6 @@ struct NodeRuntime::Impl {
   /// Subframes decoded inside a cross-subframe batch of >= 2.
   std::atomic<std::size_t> batched_subframes{0};
 
-  bool should_pin() const {
-    return config.pin_threads || config.throughput.pin_workers;
-  }
   unsigned worker_pin_core(unsigned id) const {
     const std::vector<unsigned>& cores = config.throughput.worker_cores;
     if (!cores.empty()) return cores[id % cores.size()];
@@ -961,7 +958,7 @@ struct NodeRuntime::Impl {
   /// cross-subframe SoA batch; draining never waits for the queue to fill,
   /// so an underloaded node degenerates to batch-of-1.
   void worker(unsigned id) {
-    if (should_pin()) pin_current_thread(worker_pin_core(id));
+    if (config.pin_threads) pin_current_thread(worker_pin_core(id));
     if (config.try_fifo_priority) set_current_thread_fifo(50);
     set_current_thread_name("rtopex-w" + std::to_string(id));
     const bool rtopex = config.mode == RuntimeMode::kRtOpex;

@@ -87,9 +87,6 @@ struct ThroughputConfig {
   /// Max subframes decoded per worker pass (1 = off; capped at 16 by the
   /// cross-subframe batch decoder).
   unsigned batch = 1;
-  /// Pin workers to explicit cores (FlexRAN-style core isolation) even when
-  /// `pin_threads` is off. Best effort, like all affinity here.
-  bool pin_workers = false;
   /// Dedicated ticker core: the thread calling run() pins itself here
   /// before starting the schedule (-1 = leave it unpinned).
   int ticker_core = -1;

@@ -7,27 +7,39 @@
 
 namespace rtopex::sched {
 
+void PartitionedConfig::validate(unsigned num_basestations) const {
+  if (num_basestations == 0)
+    throw std::invalid_argument("partition: no basestations");
+  if (rtt_half < 0 || rtt_half >= kEndToEndBudget)
+    throw std::invalid_argument("partition: invalid rtt_half");
+  const unsigned cores = num_basestations * cores_per_bs();
+  for (const auto& f : core_failures)
+    if (f.core >= cores)
+      throw std::invalid_argument("partition: core_failure id out of range");
+  for (const unsigned c : unprovisioned_cores)
+    if (c >= cores)
+      throw std::invalid_argument(
+          "partition: unprovisioned core id out of range");
+}
+
+std::vector<TimePoint> PartitionedConfig::assign_cores(
+    std::span<const sim::SubframeWork> active, unsigned num_basestations,
+    std::vector<unsigned>& assign, sim::SchedulerMetrics& metrics) const {
+  assign.resize(active.size());
+  for (std::size_t i = 0; i < active.size(); ++i) {
+    if (active[i].bs >= num_basestations)
+      throw std::invalid_argument("run: basestation id out of range");
+    assign[i] = core_of(active[i].bs, active[i].index);
+  }
+  return apply_core_outages(active, assign,
+                            num_basestations * cores_per_bs(), core_failures,
+                            unprovisioned_cores, metrics, tracer);
+}
+
 PartitionedScheduler::PartitionedScheduler(unsigned num_basestations,
                                            const PartitionedConfig& cfg)
     : num_basestations_(num_basestations), config_(cfg) {
-  if (num_basestations == 0)
-    throw std::invalid_argument("PartitionedScheduler: no basestations");
-  if (cfg.rtt_half < 0 || cfg.rtt_half >= kEndToEndBudget)
-    throw std::invalid_argument("PartitionedScheduler: invalid rtt_half");
-  for (const auto& f : cfg.core_failures)
-    if (f.core >= num_basestations * cfg.cores_per_bs())
-      throw std::invalid_argument(
-          "PartitionedScheduler: core_failure id out of range");
-  for (const unsigned c : cfg.unprovisioned_cores)
-    if (c >= num_basestations * cfg.cores_per_bs())
-      throw std::invalid_argument(
-          "PartitionedScheduler: unprovisioned core id out of range");
-}
-
-unsigned PartitionedScheduler::core_of(unsigned bs,
-                                       std::uint32_t subframe_index) const {
-  const unsigned c = config_.cores_per_bs();
-  return bs * c + subframe_index % c;
+  cfg.validate(num_basestations);
 }
 
 sim::SchedulerMetrics PartitionedScheduler::run(
@@ -47,16 +59,8 @@ sim::SchedulerMetrics PartitionedScheduler::run(
   model::OnlineEstimators* const adaptive =
       estimators ? &*estimators : nullptr;
 
-  // The offline partition plus the shared outage machinery (unprovisioned
-  // slots fold onto real cores; failed cores repartition to survivors).
-  std::vector<unsigned> assign(active.size());
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    if (active[i].bs >= num_basestations_)
-      throw std::invalid_argument("run: basestation id out of range");
-    assign[i] = core_of(active[i].bs, active[i].index);
-  }
-  apply_core_outages(active, assign, num_cores(), config_.core_failures,
-                     config_.unprovisioned_cores, metrics, tracer);
+  std::vector<unsigned> assign;
+  config_.assign_cores(active, num_basestations_, assign, metrics);
 
   for (std::size_t wi = 0; wi < active.size(); ++wi) {
     const auto& w = active[wi];

@@ -2,6 +2,10 @@
 // basestation i's subframe j to core i * ceil(Tmax) + (j mod ceil(Tmax)),
 // giving each subframe ceil(Tmax) milliseconds of exclusive core time.
 // Gaps left by early-finishing subframes are not reused.
+//
+// PartitionedConfig is also the partition RT-OPEX runs on (RtOpexConfig
+// extends it): the two schedulers share its fields, its validation, its
+// core_of and its subframe-to-core assignment.
 #pragma once
 
 #include "obs/tracer.hpp"
@@ -42,6 +46,28 @@ struct PartitionedConfig {
     return static_cast<unsigned>((tmax + kSubframePeriod - 1) /
                                  kSubframePeriod);
   }
+
+  /// The offline mapping: subframe j of basestation i -> core id.
+  unsigned core_of(unsigned bs, std::uint32_t subframe_index) const {
+    const unsigned c = cores_per_bs();
+    return bs * c + subframe_index % c;
+  }
+
+  /// Throws std::invalid_argument unless the partition of
+  /// `num_basestations` basestations is well formed: at least one
+  /// basestation, rtt_half in [0, 2 ms), and every failed or unprovisioned
+  /// core inside it.
+  void validate(unsigned num_basestations) const;
+
+  /// Fills `assign` (subframe i of `active` -> core) with the offline
+  /// partition, then lets the shared outage machinery fold unprovisioned
+  /// slots onto real cores and repartition each failed core's subframes
+  /// across survivors (sched/failover.hpp). Returns the per-core fail
+  /// instants. Throws on a basestation id outside the partition.
+  std::vector<TimePoint> assign_cores(std::span<const sim::SubframeWork> active,
+                                      unsigned num_basestations,
+                                      std::vector<unsigned>& assign,
+                                      sim::SchedulerMetrics& metrics) const;
 };
 
 class PartitionedScheduler final : public NodeScheduler {
@@ -54,9 +80,6 @@ class PartitionedScheduler final : public NodeScheduler {
     return num_basestations_ * config_.cores_per_bs();
   }
   const char* name() const override { return "partitioned"; }
-
-  /// The offline mapping: subframe j of basestation i -> core id.
-  unsigned core_of(unsigned bs, std::uint32_t subframe_index) const;
 
  private:
   unsigned num_basestations_;

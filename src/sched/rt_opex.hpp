@@ -1,7 +1,10 @@
 // RT-OPEX (paper §3.2): partitioned scheduling underneath, plus
 // opportunistic runtime migration of parallelizable subtasks (FFT and turbo
 // code blocks) into the idle gaps of other cores, planned by Algorithm 1
-// and guarded by the recovery path.
+// and guarded by the recovery path. It runs the partitioned scheduler's
+// partition (RtOpexConfig extends PartitionedConfig) and the sim's one
+// stage chain (sched/serial_exec.hpp); what it adds is how the chain's FFT
+// and decode execute.
 //
 // Semantics implemented (faithful to the paper's state machine, Fig. 12):
 //  * Migration decisions use the *predicted* preemption time of each idle
@@ -16,71 +19,41 @@
 //    remote core (shared-memory state fetch, Fig. 18 ~20 us), while
 //    Algorithm 1 budgets delta per subtask as printed in the paper —
 //    planning is therefore slightly conservative.
+//
+// How the partition's shared fields read under RT-OPEX:
+//  * admission: under kWcet the decode slack check runs *after* migration
+//    planning, against the post-migration local worst case — which is
+//    exactly how RT-OPEX admits (and saves) high-MCS subframes the
+//    partitioned scheduler must drop.
+//  * degrade: when that check fails, a capped decode runs serially on its
+//    own core (migration plans assume full-quality subtask times).
+//  * adaptive: Algorithm-1 migration chunks are sized with the learned
+//    per-code-block decode time (EWMA over executed subtask durations)
+//    instead of the fixed WCET constant, and the post-migration admission
+//    estimate is built from it.
+//  * core_failures, unprovisioned_cores: such cores are never migration
+//    targets.
+//  * tracer: offloads carry flow metadata; host spans land on the remote
+//    track.
 #pragma once
 
-#include "obs/tracer.hpp"
-#include "sched/failover.hpp"
 #include "sched/migration.hpp"
-#include "sched/scheduler.hpp"
+#include "sched/partitioned.hpp"
 
 namespace rtopex::sched {
 
-struct RtOpexConfig {
-  /// Budgeted one-way transport delay: sets Tmax, the partitioned core
-  /// count, and the predicted preemption times.
-  Duration rtt_half = microseconds(500);
+struct RtOpexConfig : PartitionedConfig {
   /// Per-chunk migration cost delta (paper Fig. 18: ~20 us).
   Duration migration_cost = microseconds(20);
-  /// Slack-check prediction for the decode task (paper: WCET). Under kWcet
-  /// the check runs *after* migration planning, against the post-migration
-  /// local worst case — which is exactly how RT-OPEX admits (and saves)
-  /// high-MCS subframes the partitioned scheduler must drop.
-  AdmissionPolicy admission = AdmissionPolicy::kWcet;
   bool migrate_fft = true;
   bool migrate_decode = true;
   /// Algorithm 1 constraint toggles (ablation; defaults are the paper's).
   MigrationConstraints constraints;
-  /// Ablation: with recovery disabled, a preempted migrated subtask makes
-  /// the subframe unrecoverable (counted as a miss).
+  /// Ablation: with recovery disabled, the local core waits for its
+  /// migrated chunks instead of recomputing them, and a chunk preempted
+  /// before it finished makes the subframe unrecoverable (a miss that is
+  /// not a termination).
   bool enable_recovery = true;
-  /// Populate SchedulerMetrics::timeline (costs memory on big runs).
-  bool record_timeline = false;
-  /// Graceful degradation: when the post-migration WCET slack check fails,
-  /// fall back to a serial decode with the iteration cap shrunk before
-  /// dropping the subframe.
-  DegradeConfig degrade;
-  /// Online adaptive estimation: Algorithm-1 migration chunks sized with
-  /// the learned per-code-block decode time (EWMA over executed subtask
-  /// durations) instead of the fixed WCET constant, and the post-migration
-  /// admission estimate built from it (off: static WCET seeds).
-  AdaptiveConfig adaptive;
-  /// Injected fail-stop core failures: from `at` onward the core takes no
-  /// new subframes (its slots are repartitioned round-robin across the
-  /// survivors, mirroring the runtime watchdog) and it is never a migration
-  /// target. A subframe already started finishes — failure is detected
-  /// between jobs, like the runtime's kill semantics.
-  using CoreFailure = sched::CoreFailure;
-  std::vector<CoreFailure> core_failures;
-  /// Core slots present in the offline partition but never backed by a
-  /// physical core: their subframes fold onto the provisioned cores from
-  /// t = 0 (round-robin, silent — no failover accounting) and they are
-  /// never migration targets. The cluster layer re-homes a dead node's
-  /// basestations through this without granting the survivor extra
-  /// capacity; see sched/failover.hpp.
-  std::vector<unsigned> unprovisioned_cores;
-  /// Fill the raw gap_us / processing_time_us sample vectors in addition to
-  /// the bounded histograms (costs memory on big runs).
-  bool record_samples = false;
-  /// Optional trace sink: virtual-time-stamped events on track = core id
-  /// (offloads carry flow metadata; host spans land on the remote track).
-  /// Needs at least num_cores() tracks; drained once per subframe.
-  obs::Tracer* tracer = nullptr;
-
-  unsigned cores_per_bs() const {
-    const Duration tmax = kEndToEndBudget - rtt_half;
-    return static_cast<unsigned>((tmax + kSubframePeriod - 1) /
-                                 kSubframePeriod);
-  }
 };
 
 class RtOpexScheduler final : public NodeScheduler {
@@ -93,8 +66,6 @@ class RtOpexScheduler final : public NodeScheduler {
     return num_basestations_ * config_.cores_per_bs();
   }
   const char* name() const override { return "rt-opex"; }
-
-  unsigned core_of(unsigned bs, std::uint32_t subframe_index) const;
 
  private:
   unsigned num_basestations_;

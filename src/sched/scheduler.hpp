@@ -39,6 +39,19 @@ enum class AdmissionPolicy {
   kOptimistic,
 };
 
+/// The three node-scheduling policies (paper §3): partitioned, global and
+/// RT-OPEX.
+enum class SchedulerKind { kPartitioned, kGlobal, kRtOpex };
+
+inline const char* to_string(SchedulerKind kind) {
+  switch (kind) {
+    case SchedulerKind::kPartitioned: return "partitioned";
+    case SchedulerKind::kGlobal: return "global";
+    case SchedulerKind::kRtOpex: return "rt-opex";
+  }
+  return "unknown";
+}
+
 class NodeScheduler {
  public:
   virtual ~NodeScheduler() = default;

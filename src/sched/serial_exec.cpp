@@ -21,6 +21,31 @@ DecodeLine static_line(const sim::SubframeWork& w) {
   return {w.decode_optimistic, w.wcet.decode};
 }
 
+/// The chain's stages on the core itself. The decode's full-quality
+/// estimate is the WCET (kWcet) or best-case (kOptimistic) decode, or the
+/// Eq. (1) fit at the assumed iterations under adaptive estimation.
+struct SerialStages {
+  AdmissionPolicy admission;
+  const model::OnlineEstimators* adaptive;
+
+  StageRun fft(const sim::SubframeWork& w, TimePoint t, SerialOutcome&) const {
+    return {t + w.costs.fft};
+  }
+  DecodeEstimates decode_estimates(const sim::SubframeWork& w, TimePoint,
+                                   unsigned assumed) const {
+    const Duration reference = admission == AdmissionPolicy::kWcet
+                                   ? w.wcet.decode
+                                   : w.decode_optimistic;
+    return {adaptive ? adaptive->predict_decode_at(w.mcs, assumed, reference)
+                     : reference,
+            reference};
+  }
+  StageRun decode(const sim::SubframeWork& w, TimePoint t,
+                  SerialOutcome&) const {
+    return {t + w.costs.decode, w.costs.decode};
+  }
+};
+
 }  // namespace
 
 DecodeLine sim_decode_line(const sim::SubframeWork& w,
@@ -124,61 +149,9 @@ SerialOutcome execute_serial(const sim::SubframeWork& w, TimePoint start,
                              const DegradeConfig& degrade,
                              obs::Tracer* tracer, unsigned core,
                              model::OnlineEstimators* adaptive) {
-  SerialOutcome out;
-  TimePoint t = start;
-  // FFT and demod have deterministic durations: exact slack checks.
-  if (!run_fixed_stage(out, obs::Stage::kFft, w.costs.fft + entry_penalty, w,
-                       t, tracer, core))
-    return out;
-  if (adaptive) adaptive->observe_fft(w.costs.fft_subtask);
-  if (!run_fixed_stage(out, obs::Stage::kDemod, w.costs.demod, w, t, tracer,
-                       core))
-    return out;
-
-  // Decode: admission per policy (WCET by default), then actual execution
-  // with termination at the deadline.
-  out.decode_static_est_ns = admission == AdmissionPolicy::kWcet
-                                 ? w.wcet.decode
-                                 : w.decode_optimistic;
-  const unsigned assumed = assumed_iterations(w, admission, adaptive);
-  const Duration full =
-      adaptive ? adaptive->predict_decode_at(w.mcs, assumed,
-                                             out.decode_static_est_ns)
-               : out.decode_static_est_ns;
-  const Admission adm = admit_decode(t, w.deadline, full,
-                                     sim_decode_line(w, degrade, adaptive),
-                                     assumed, w.lm, degrade);
-  if (!apply_admission(out, adm, w, t, tracer, core)) return out;
-  const Duration decode_time = adm.level == DegradeLevel::kNone
-                                   ? w.costs.decode
-                                   : degraded_decode_time(w, adm.cap);
-  if (t + decode_time > w.deadline) {
-    out.decode_ns = w.deadline - t;
-    out.end = w.deadline;
-    out.miss = out.terminated = true;
-    out.missed_stage = obs::Stage::kDecode;
-    RTOPEX_TRACE_EVENT(tracer, .ts = w.deadline, .bs = w.bs, .index = w.index,
-                       .core = core, .kind = obs::EventKind::kStageEnd,
-                       .stage = obs::Stage::kDecode);
-    RTOPEX_TRACE_EVENT(tracer, .ts = w.deadline, .bs = w.bs, .index = w.index,
-                       .core = core, .kind = obs::EventKind::kTerminate,
-                       .stage = obs::Stage::kDecode);
-    return out;
-  }
-  t += decode_time;
-  out.decode_ns = decode_time;
-  RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
-                     .core = core, .kind = obs::EventKind::kStageEnd,
-                     .stage = obs::Stage::kDecode);
-  out.end = t;
-  out.completed = true;
-  // Close the loop: feed the executed decode back into the estimators (the
-  // executed iteration count and the duration it produced are a consistent
-  // Eq. (1) sample even on the degraded path).
-  if (adaptive)
-    adaptive->observe_decode(w.bs, w.mcs, out.executed_iterations,
-                             out.decode_ns, w.costs.decode_subtask);
-  return out;
+  SerialStages stages{admission, adaptive};
+  return run_stage_chain(w, start, stages, entry_penalty, admission, degrade,
+                         tracer, core, adaptive);
 }
 
 void finish_subframe(const SerialOutcome& o, const sim::SubframeWork& w,

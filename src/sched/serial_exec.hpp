@@ -1,7 +1,9 @@
-// Shared serial (non-migrating) execution of one subframe's stage chain,
-// used by the partitioned and global policies, plus the decode-admission
-// inputs, the fixed-cost stage step and the per-subframe prologue and
-// epilogue all three sim policies share.
+// The simulator's one FFT -> demod -> decode stage chain, shared by the
+// three sim policies, with what it needs: the decode-admission inputs, the
+// checked stage step, and the per-subframe prologue and epilogue. Each
+// policy supplies only how its two parallelizable stages execute: on the
+// core itself (execute_serial: partitioned, global) or through Algorithm 1
+// and the migration model (RT-OPEX, rt_opex.cpp).
 #pragma once
 
 #include "obs/tracer.hpp"
@@ -42,8 +44,23 @@ struct SerialOutcome {
   int host_core = -1;
 };
 
-/// Runs FFT -> demod -> decode serially from `start`. `entry_penalty` models
-/// extra per-dispatch cost (e.g. the global scheduler's cache-refill after a
+/// How a scheduler ran one of the chain's parallelizable stages.
+struct StageRun {
+  TimePoint end = 0;   ///< when the stage's results are complete.
+  Duration work = 0;   ///< serial decode work executed (the Eq. (1) sample).
+  bool lost = false;   ///< migrated results lost (RT-OPEX, recovery off).
+};
+
+/// The decode's pair of full-quality estimates: the one admission checks
+/// and the frozen static seed's, which decode_est_ns is scored against.
+struct DecodeEstimates {
+  Duration full = 0;
+  Duration reference = 0;
+};
+
+/// Runs FFT -> demod -> decode on the core itself from `start`: the stage
+/// chain below with SerialStages. `entry_penalty` models extra
+/// per-dispatch cost (e.g. the global scheduler's cache-refill after a
 /// basestation switch); it is charged before the FFT stage. The decode is
 /// admitted by admit_decode (with `degrade.enabled`, a failed full-quality
 /// check shrinks the iteration cap before dropping). A non-null `tracer`
@@ -107,15 +124,17 @@ inline void begin_subframe([[maybe_unused]] const sim::SubframeWork& w,
                      .core = core, .kind = obs::EventKind::kSubframeBegin);
 }
 
-/// One fixed-cost stage (FFT or demod) of `w` on `core` from `t`. The slack
-/// check is exact: when `cost` would overrun the deadline the subframe
-/// drops there (kDrop, `o` marked dropped at `t`); otherwise the stage runs
-/// through (kStageBegin carrying `cost`, `t` advanced, kStageEnd) and its
-/// time lands in `o`. Returns whether the stage ran.
-inline bool run_fixed_stage(SerialOutcome& o, obs::Stage stage, Duration cost,
-                            const sim::SubframeWork& w, TimePoint& t,
-                            [[maybe_unused]] obs::Tracer* tracer,
-                            [[maybe_unused]] unsigned core) {
+/// One FFT or demod stage of `w` on `core` from `t`, slack-checked exactly
+/// against its deterministic duration `cost`: when that would overrun the
+/// deadline the subframe drops there (kDrop, `o` marked dropped at `t`);
+/// otherwise kStageBegin carries `cost`, `execute(t)` runs the stage and
+/// returns its end, `t` advances to it and kStageEnd closes the stage,
+/// whose time lands in `o`. Returns whether the stage ran.
+template <class Execute>
+bool run_checked_stage(SerialOutcome& o, obs::Stage stage, Duration cost,
+                       const sim::SubframeWork& w, TimePoint& t,
+                       [[maybe_unused]] obs::Tracer* tracer,
+                       [[maybe_unused]] unsigned core, Execute&& execute) {
   if (t + cost > w.deadline) {
     o.end = t;
     o.miss = o.dropped = true;
@@ -128,12 +147,97 @@ inline bool run_fixed_stage(SerialOutcome& o, obs::Stage stage, Duration cost,
   RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
                      .a = obs::clamp_payload_ns(cost), .core = core,
                      .kind = obs::EventKind::kStageBegin, .stage = stage);
-  t += cost;
-  (stage == obs::Stage::kFft ? o.fft_ns : o.demod_ns) = cost;
+  const TimePoint begin = t;
+  t = execute(t);
+  (stage == obs::Stage::kFft ? o.fft_ns : o.demod_ns) = t - begin;
   RTOPEX_TRACE_EVENT(tracer, .ts = t, .bs = w.bs, .index = w.index,
                      .core = core, .kind = obs::EventKind::kStageEnd,
                      .stage = stage);
   return true;
+}
+
+/// The sim's one FFT -> demod -> decode chain for `w` on `core` from
+/// `start`. It owns what the three schedulers share: the exact FFT (plus
+/// `entry_penalty`) and demod slack checks, decode admission through
+/// admit_decode, termination at the deadline, the miss of a stage whose
+/// migrated results were lost, every stage, drop, degrade and terminate
+/// event, and the feedback into a non-null `adaptive`. `stages`, chosen at
+/// compile time, runs the FFT (`fft(w, t, o)`), gives the decode's
+/// estimates at its start (`decode_estimates(w, t, assumed)`) and runs a
+/// decode admitted at full quality (`decode(w, t, o)`); a capped decode
+/// runs serially on the core in every scheduler.
+template <class Stages>
+SerialOutcome run_stage_chain(const sim::SubframeWork& w, TimePoint start,
+                              Stages& stages, Duration entry_penalty,
+                              AdmissionPolicy admission,
+                              const DegradeConfig& degrade,
+                              obs::Tracer* tracer, unsigned core,
+                              model::OnlineEstimators* adaptive) {
+  SerialOutcome o;
+  TimePoint t = start;
+  bool fft_lost = false;
+  if (!run_checked_stage(o, obs::Stage::kFft, w.costs.fft + entry_penalty, w,
+                         t, tracer, core, [&](TimePoint at) {
+                           const StageRun fft =
+                               stages.fft(w, at + entry_penalty, o);
+                           fft_lost = fft.lost;
+                           return fft.end;
+                         }))
+    return o;
+  if (adaptive) adaptive->observe_fft(w.costs.fft_subtask);
+  if (fft_lost) {
+    o.end = t;
+    o.miss = true;
+    o.missed_stage = obs::Stage::kFft;
+    return o;
+  }
+  if (!run_checked_stage(o, obs::Stage::kDemod, w.costs.demod, w, t, tracer,
+                         core,
+                         [&](TimePoint at) { return at + w.costs.demod; }))
+    return o;
+
+  // Decode: the scheduler's full-quality estimate through the one admission
+  // rule, then execution with termination at the deadline.
+  const unsigned assumed = assumed_iterations(w, admission, adaptive);
+  const DecodeEstimates est = stages.decode_estimates(w, t, assumed);
+  o.decode_static_est_ns = est.reference;
+  const Admission adm =
+      admit_decode(t, w.deadline, est.full,
+                   sim_decode_line(w, degrade, adaptive), assumed, w.lm,
+                   degrade);
+  if (!apply_admission(o, adm, w, t, tracer, core)) return o;
+  StageRun decode;
+  if (adm.level == DegradeLevel::kNone) {
+    decode = stages.decode(w, t, o);
+  } else {  // migration plans assume full-quality subtask times
+    decode.work = degraded_decode_time(w, adm.cap);
+    decode.end = t + decode.work;
+  }
+  o.end = decode.end;
+  if (decode.lost) {
+    o.miss = true;
+    o.missed_stage = obs::Stage::kDecode;
+  } else if (o.end > w.deadline) {
+    o.end = w.deadline;
+    o.miss = o.terminated = true;
+    o.missed_stage = obs::Stage::kDecode;
+  }
+  o.decode_ns = o.end - t;
+  RTOPEX_TRACE_EVENT(tracer, .ts = o.end, .bs = w.bs, .index = w.index,
+                     .core = core, .kind = obs::EventKind::kStageEnd,
+                     .stage = obs::Stage::kDecode);
+  if (o.terminated)
+    RTOPEX_TRACE_EVENT(tracer, .ts = o.end, .bs = w.bs, .index = w.index,
+                       .core = core, .kind = obs::EventKind::kTerminate,
+                       .stage = obs::Stage::kDecode);
+  if (o.miss) return o;
+  o.completed = true;
+  // Close the loop: the executed iteration count and the serial work it
+  // produced are a consistent Eq. (1) sample even on the degraded path.
+  if (adaptive)
+    adaptive->observe_decode(w.bs, w.mcs, o.executed_iterations, decode.work,
+                             w.costs.decode_subtask);
+  return o;
 }
 
 /// The per-subframe epilogue every sim scheduler runs once `w` finished on

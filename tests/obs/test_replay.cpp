@@ -53,7 +53,7 @@ TraceStore run_captured(core::ExperimentConfig& cfg,
 analysis::ReplayConfig matching_replay_config(
     const core::ExperimentConfig& cfg) {
   analysis::ReplayConfig rcfg;
-  rcfg.policy = analysis::ReplayConfig::Policy::kPartitioned;
+  rcfg.policy = core::SchedulerKind::kPartitioned;
   rcfg.partitioned.rtt_half = cfg.rtt_half;
   rcfg.partitioned.degrade = cfg.degrade;
   rcfg.rtopex.rtt_half = cfg.rtt_half;
@@ -148,7 +148,7 @@ TEST(ReplayCounterfactual, PolicySwapIsDeterministic) {
   const TraceStore store = run_captured(cfg, work);
 
   analysis::ReplayConfig rcfg = matching_replay_config(cfg);
-  rcfg.policy = analysis::ReplayConfig::Policy::kRtOpex;
+  rcfg.policy = core::SchedulerKind::kRtOpex;
   const analysis::ReplayResult a = analysis::replay(store, rcfg);
   const analysis::ReplayResult b = analysis::replay(store, rcfg);
   EXPECT_TRUE(analysis::diff_reports(a.report, b.report).empty());

@@ -328,7 +328,7 @@ TEST(NodeRuntimeTest, ThroughputBatchOfOneMatchesDefaultContract) {
   // the plain runtime: everything decodes, nothing reports as batched.
   auto cfg = small_config(RuntimeMode::kGlobal);
   cfg.throughput.batch = 1;
-  cfg.throughput.pin_workers = true;  // best-effort; may silently no-op
+  cfg.pin_threads = true;  // best-effort; may silently no-op
   NodeRuntime runtime(cfg);
   const auto report = runtime.run();
   check_complete(report, cfg);

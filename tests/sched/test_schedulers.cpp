@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
+#include "model/task_cost_model.hpp"
 #include "model/timing_model.hpp"
 #include "sched/global.hpp"
 #include "sched/partitioned.hpp"
@@ -35,10 +36,10 @@ TEST(PartitionedTest, MappingFormulaMatchesPaper) {
   PartitionedScheduler sched(4, cfg);
   EXPECT_EQ(sched.num_cores(), 8u);
   // core = bs * 2 + j mod 2 (paper §3.1.1).
-  EXPECT_EQ(sched.core_of(0, 0), 0u);
-  EXPECT_EQ(sched.core_of(0, 1), 1u);
-  EXPECT_EQ(sched.core_of(0, 2), 0u);
-  EXPECT_EQ(sched.core_of(3, 5), 7u);
+  EXPECT_EQ(cfg.core_of(0, 0), 0u);
+  EXPECT_EQ(cfg.core_of(0, 1), 1u);
+  EXPECT_EQ(cfg.core_of(0, 2), 0u);
+  EXPECT_EQ(cfg.core_of(3, 5), 7u);
 }
 
 TEST(PartitionedTest, AccountsEverySubframe) {
@@ -221,6 +222,75 @@ TEST(RtOpexTest, DisablingRecoveryCausesLosses) {
   const auto m_without = RtOpexScheduler(4, without).run(work);
   EXPECT_GT(m_with.recoveries, 0u);
   EXPECT_GE(m_without.deadline_misses, m_with.deadline_misses);
+}
+
+/// Subframe `index` of a lone basestation with the calibrated task costs at
+/// `mcs` and `iterations`, arriving exactly RTT/2 = 500 us after its radio
+/// time (a Fig. 11-style hand-built schedule on two cores).
+sim::SubframeWork hand_built(std::uint32_t index, unsigned mcs,
+                             unsigned iterations) {
+  const model::TaskCostModel cost(model::paper_gpp_model(), 2, 50);
+  sim::SubframeWork w;
+  w.index = index;
+  w.radio_time = static_cast<TimePoint>(index) * kSubframePeriod;
+  w.arrival = w.radio_time + microseconds(500);
+  w.deadline = w.radio_time + kEndToEndBudget;
+  w.mcs = mcs;
+  w.iterations = iterations;
+  w.costs = cost.costs(mcs, iterations, 0);
+  w.wcet = cost.costs(mcs, 4, 0);
+  w.decode_optimistic = cost.costs(mcs, 1, 0).decode;
+  return w;
+}
+
+TEST(RtOpexTest, WithoutRecoveryOnlyAPreemptedChunkLosesItsResults) {
+  // A heavy subframe on core 0 migrates decode subtasks into core 1's idle
+  // window. Without recovery the local core waits for its chunk instead of
+  // recomputing it.
+  const sim::SubframeWork heavy = hand_built(0, 21, 4);
+  RtOpexConfig rc;
+  rc.migrate_fft = false;
+  rc.enable_recovery = false;
+  rc.record_timeline = true;
+  const Duration tp = heavy.costs.decode_subtask;
+  const TimePoint par_start = heavy.arrival + heavy.costs.fft +
+                              heavy.costs.demod +
+                              heavy.costs.decode_serial();
+
+  // Core 1 has no work of its own, so the chunk runs to its natural end,
+  // after the local subtasks: the subframe completes at the chunk's end.
+  const std::vector<sim::SubframeWork> alone = {heavy};
+  const auto m = RtOpexScheduler(1, rc).run(alone);
+  ASSERT_GT(m.decode_subtasks_migrated, 0u);
+  const auto migrated = static_cast<Duration>(m.decode_subtasks_migrated);
+  const TimePoint chunk_end = par_start + rc.migration_cost + migrated * tp;
+  const TimePoint local_end =
+      par_start + (heavy.costs.decode_subtasks - migrated) * tp;
+  ASSERT_GT(chunk_end, local_end);  // the local core finishes first
+  EXPECT_EQ(m.deadline_misses, 0u);
+  EXPECT_EQ(m.recoveries, 0u);
+  ASSERT_EQ(m.timeline.size(), 1u);
+  EXPECT_FALSE(m.timeline[0].missed);
+  EXPECT_EQ(m.timeline[0].host_core, 1);
+  EXPECT_EQ(m.timeline[0].end, chunk_end);
+
+  // Core 1's own subframe beats its budgeted RTT/2 (the planner's predicted
+  // window) and arrives while the chunk runs: the preempted chunk loses
+  // the decode's results, a miss that is not a termination.
+  sim::SubframeWork early = hand_built(1, 10, 1);
+  early.arrival = par_start + rc.migration_cost + tp / 2;
+  ASSERT_GT(early.arrival, early.radio_time);
+  ASSERT_LT(early.arrival, early.radio_time + rc.rtt_half);
+  const std::vector<sim::SubframeWork> preempted = {heavy, early};
+  const auto p = RtOpexScheduler(1, rc).run(preempted);
+  EXPECT_GT(p.decode_subtasks_migrated, 0u);
+  EXPECT_EQ(p.deadline_misses, 1u);
+  EXPECT_EQ(p.terminated, 0u);
+  EXPECT_EQ(p.dropped, 0u);
+  ASSERT_EQ(p.timeline.size(), 2u);
+  EXPECT_TRUE(p.timeline[0].missed);
+  EXPECT_EQ(p.timeline[0].missed_stage, obs::Stage::kDecode);
+  EXPECT_FALSE(p.timeline[1].missed);
 }
 
 // Metrics invariants that must hold for every scheduler on any workload:

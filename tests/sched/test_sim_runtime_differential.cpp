@@ -288,24 +288,137 @@ TEST(SimRuntimeDifferentialTest, StructuresAgreeUnderFaults) {
   EXPECT_EQ(report.crc_failures, 0u);
 }
 
+// ---- RT-OPEX without migration is the partitioned scheduler -------------
+
+/// Expects every SchedulerMetrics field of `a` and `b` to match, timeline
+/// and raw samples included, apart from the FFT and decode subtask totals,
+/// which only RT-OPEX counts.
+void expect_same_outputs(const sim::SchedulerMetrics& a,
+                         const sim::SchedulerMetrics& b) {
+  EXPECT_EQ(a.total_subframes, b.total_subframes);
+  EXPECT_EQ(a.deadline_misses, b.deadline_misses);
+  EXPECT_EQ(a.dropped, b.dropped);
+  EXPECT_EQ(a.terminated, b.terminated);
+  EXPECT_EQ(a.decode_failures, b.decode_failures);
+  ASSERT_EQ(a.per_bs.size(), b.per_bs.size());
+  for (std::size_t i = 0; i < a.per_bs.size(); ++i) {
+    EXPECT_EQ(a.per_bs[i].subframes, b.per_bs[i].subframes) << "bs " << i;
+    EXPECT_EQ(a.per_bs[i].misses, b.per_bs[i].misses) << "bs " << i;
+    EXPECT_TRUE(a.per_bs[i].processing_us == b.per_bs[i].processing_us)
+        << "bs " << i;
+  }
+  const ResilienceMetrics& ra = a.resilience;
+  const ResilienceMetrics& rb = b.resilience;
+  EXPECT_EQ(ra.failovers, rb.failovers);
+  EXPECT_EQ(ra.repartitions, rb.repartitions);
+  EXPECT_EQ(ra.requeued_jobs, rb.requeued_jobs);
+  EXPECT_EQ(ra.lost_subframes, rb.lost_subframes);
+  EXPECT_EQ(ra.late_arrivals, rb.late_arrivals);
+  EXPECT_EQ(ra.degraded, rb.degraded);
+  EXPECT_EQ(ra.degraded_decode_failures, rb.degraded_decode_failures);
+  EXPECT_EQ(ra.flag_timeouts, rb.flag_timeouts);
+  EXPECT_EQ(ra.degrade_histogram, rb.degrade_histogram);
+  EXPECT_TRUE(a.processing_us_hist == b.processing_us_hist);
+  EXPECT_TRUE(a.gap_us_hist == b.gap_us_hist);
+  for (std::size_t s = 0; s < obs::kNumStages; ++s)
+    EXPECT_TRUE(a.stage_us_hist[s] == b.stage_us_hist[s]) << "stage " << s;
+  EXPECT_EQ(a.gap_us, b.gap_us);
+  EXPECT_EQ(a.processing_time_us, b.processing_time_us);
+  EXPECT_EQ(a.decode_est_samples, b.decode_est_samples);
+  EXPECT_EQ(a.decode_est_used_abs_err_us, b.decode_est_used_abs_err_us);
+  EXPECT_EQ(a.decode_est_static_abs_err_us, b.decode_est_static_abs_err_us);
+  EXPECT_EQ(a.fft_subtasks_migrated, b.fft_subtasks_migrated);
+  EXPECT_EQ(a.decode_subtasks_migrated, b.decode_subtasks_migrated);
+  EXPECT_EQ(a.recoveries, b.recoveries);
+  ASSERT_EQ(a.timeline.size(), b.timeline.size());
+  for (std::size_t i = 0; i < a.timeline.size(); ++i) {
+    const auto& x = a.timeline[i];
+    const auto& y = b.timeline[i];
+    ASSERT_TRUE(x.bs == y.bs && x.index == y.index && x.core == y.core &&
+                x.start == y.start && x.end == y.end &&
+                x.missed == y.missed && x.missed_stage == y.missed_stage &&
+                x.host_core == y.host_core)
+        << "timeline entry " << i;
+  }
+}
+
 // The simulator's RT-OPEX must degrade to the partitioned baseline when
 // migration is disabled — the differential anchor for the migration
-// machinery itself (any structural divergence here is a planner bug, not a
-// timing artifact).
+// machinery itself (any divergence here is a planner bug, not a timing
+// artifact). Both run the same partition config over the same workload
+// and must produce the same outputs and the same trace, event for event,
+// under every static configuration the partition supports.
 TEST(SimRuntimeDifferentialTest, NoMigrationDegradesToPartitioned) {
-  const auto work = matched_sim_work(31);
-  sched::RtOpexConfig rc;
-  rc.rtt_half = kRttHalf;
-  rc.migrate_fft = false;
-  rc.migrate_decode = false;
-  sched::RtOpexScheduler opex(kBasestations, rc);
-  sched::PartitionedScheduler part(kBasestations, {kRttHalf});
-  const auto mo = opex.run(work);
-  const auto mp = part.run(work);
-  EXPECT_EQ(mo.deadline_misses, mp.deadline_misses);
-  EXPECT_EQ(mo.dropped, mp.dropped);
-  EXPECT_EQ(mo.terminated, mp.terminated);
-  EXPECT_EQ(mo.processing_us_hist.count(), mp.processing_us_hist.count());
+  struct Case {
+    const char* name;
+    bool stochastic = false;
+    double loss_prob = 0.0;
+    double late_prob = 0.0;
+    bool degrade = false;
+    std::vector<sched::CoreFailure> failures{};
+    std::vector<unsigned> unprovisioned{};
+    sched::AdmissionPolicy admission = sched::AdmissionPolicy::kWcet;
+  };
+  const std::vector<Case> cases = {
+      {.name = "fixed transport"},
+      {.name = "stochastic transport", .stochastic = true},
+      {.name = "fronthaul loss and late delivery", .stochastic = true,
+       .loss_prob = 0.02, .late_prob = 0.05},
+      {.name = "degradation", .degrade = true},
+      {.name = "core failure", .failures = {{3, milliseconds(400)}}},
+      {.name = "unprovisioned cores", .unprovisioned = {6, 7}},
+      {.name = "optimistic admission",
+       .admission = sched::AdmissionPolicy::kOptimistic},
+  };
+  constexpr unsigned kBs = 4;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    sim::WorkloadConfig wc;
+    wc.num_basestations = kBs;
+    wc.subframes_per_bs = 1500;
+    wc.seed = 31;
+    wc.mean_load_override = 0.9;
+    wc.fronthaul_faults.loss_prob = c.loss_prob;
+    wc.fronthaul_faults.late_prob = c.late_prob;
+    const transport::FixedTransport fixed(kRttHalf);
+    const transport::CompositeTransport jittery(
+        transport::FronthaulModel{}, transport::cloud_params_10gbe());
+    const transport::TransportModel& tm =
+        c.stochastic ? static_cast<const transport::TransportModel&>(jittery)
+                     : fixed;
+    const auto work =
+        sim::WorkloadGenerator(wc, tm, model::paper_gpp_model()).generate();
+
+    sched::RtOpexConfig rc;
+    rc.rtt_half = kRttHalf;
+    rc.admission = c.admission;
+    rc.degrade = {c.degrade, 1};
+    rc.core_failures = c.failures;
+    rc.unprovisioned_cores = c.unprovisioned;
+    rc.record_timeline = true;
+    rc.record_samples = true;
+    rc.migrate_fft = false;
+    rc.migrate_decode = false;
+    obs::Tracer opex_trace(kBs * 2, 1 << 12, 1 << 22);
+    obs::Tracer part_trace(kBs * 2, 1 << 12, 1 << 22);
+    rc.tracer = &opex_trace;
+    const auto mo = sched::RtOpexScheduler(kBs, rc).run(work);
+    sched::PartitionedConfig pc = rc;  // the partition alone
+    pc.tracer = &part_trace;
+    const auto mp = sched::PartitionedScheduler(kBs, pc).run(work);
+
+    expect_same_outputs(mo, mp);
+    // The case exercises misses or degraded decodes.
+    EXPECT_GT(mo.deadline_misses + mo.resilience.degraded, 0u);
+    EXPECT_EQ(mp.fft_subtasks_total, 0u);
+    EXPECT_EQ(mp.decode_subtasks_total, 0u);
+    const obs::TraceStore so = opex_trace.take();
+    const obs::TraceStore sp = part_trace.take();
+    EXPECT_EQ(so.total_drops(), 0u);
+    EXPECT_EQ(sp.total_drops(), 0u);
+    ASSERT_EQ(so.events.size(), sp.events.size());
+    EXPECT_TRUE(so.events == sp.events);
+  }
 }
 
 // ---- Decision-level admission differential ------------------------------
