@@ -21,12 +21,6 @@ bool pin_current_thread(unsigned core_id) {
   return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
 }
 
-bool set_current_thread_fifo(int priority) {
-  sched_param param{};
-  param.sched_priority = priority;
-  return pthread_setschedparam(pthread_self(), SCHED_FIFO, &param) == 0;
-}
-
 void set_current_thread_name(const std::string& name) {
   pthread_setname_np(pthread_self(), name.substr(0, 15).c_str());
 }

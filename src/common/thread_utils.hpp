@@ -1,9 +1,9 @@
-// Thin wrappers over the pthread knobs the paper's implementation relies on:
-// 1:1 kernel threads pinned to dedicated cores with SCHED_FIFO priority
-// (paper §4.1/§4.2 "processing threads are pinned to dedicated cores and use
-// FIFO scheduling").
+// Thin wrappers over the pthread knobs the real-thread runtime uses: 1:1
+// kernel threads pinned to dedicated cores (paper §4.1/§4.2 "processing
+// threads are pinned to dedicated cores"), thread names, and a monotonic
+// clock with a busy-spin wait.
 //
-// All calls degrade gracefully (return false) on hosts where the operation
+// Pinning degrades gracefully (returns false) on hosts where the operation
 // is not permitted or the core does not exist, so the library remains usable
 // on laptops and CI machines.
 #pragma once
@@ -19,10 +19,6 @@ unsigned hardware_core_count();
 /// Pin the calling thread to the given core. Returns false on failure
 /// (e.g. core id out of range or insufficient privileges).
 bool pin_current_thread(unsigned core_id);
-
-/// Request SCHED_FIFO with the given priority (1..99) for the calling
-/// thread. Returns false when the caller lacks CAP_SYS_NICE.
-bool set_current_thread_fifo(int priority);
 
 /// Name the calling thread (visible in /proc and debuggers); truncated to
 /// the 15-character kernel limit.

@@ -39,8 +39,7 @@ struct ExperimentConfig {
 
   /// Online adaptive estimation, applied to whichever scheduler runs. The
   /// Eq. (1) regressor context (antennas, PRBs, iteration cap) is synced
-  /// from `workload` automatically — set only `adaptive.enabled` (and
-  /// optionally `adaptive.params`).
+  /// from `workload` automatically — set only `adaptive.enabled`.
   sched::AdaptiveConfig adaptive;
 
   model::TimingModel timing = model::paper_gpp_model();

@@ -119,12 +119,13 @@ unsigned IterationPredictor::predict() const {
 void DurationEwma::observe(Duration sample) {
   if (sample <= 0) return;
   const double s = static_cast<double>(sample);
-  value_ = samples_ == 0 ? s : value_ + alpha_ * (s - value_);
+  value_ = has_value_ ? value_ + alpha_ * (s - value_) : s;
+  has_value_ = true;
   ++samples_;
 }
 
 Duration DurationEwma::value_or(Duration fallback) const {
-  if (samples_ == 0 || !std::isfinite(value_) || value_ < 1.0)
+  if (!has_value_ || !std::isfinite(value_) || value_ < 1.0)
     return std::max<Duration>(1, fallback);
   return static_cast<Duration>(std::llround(value_));
 }
@@ -159,14 +160,15 @@ double MeanVarEwma::zscore(double x) const {
 OnlineEstimators::OnlineEstimators(unsigned num_antennas, unsigned num_prb,
                                    unsigned num_basestations,
                                    unsigned max_iterations,
+                                   const StageTimes& seeds,
                                    const AdaptiveParams& params)
     : antennas_(num_antennas),
       num_prb_(num_prb),
       lm_(std::max(1u, max_iterations)),
-      params_(params),
       fit_(params),
-      decode_subtask_(params.duration_alpha),
-      fft_subtask_(params.duration_alpha) {
+      decode_subtask_(params.duration_alpha, seeds.decode_subtask),
+      fft_subtask_(params.duration_alpha, seeds.fft_subtask),
+      demod_(params.duration_alpha, seeds.demod) {
   per_bs_.reserve(num_basestations);
   for (unsigned bs = 0; bs < num_basestations; ++bs)
     per_bs_.emplace_back(static_cast<double>(lm_), lm_, params);
@@ -197,10 +199,6 @@ void OnlineEstimators::observe_decode(unsigned bs, unsigned mcs,
                phy::subcarrier_load(m, num_prb_),
                static_cast<double>(executed_iterations), decode_ns);
   decode_subtask_.observe(decode_subtask_ns);
-}
-
-void OnlineEstimators::observe_fft(Duration fft_subtask_ns) {
-  fft_subtask_.observe(fft_subtask_ns);
 }
 
 }  // namespace rtopex::model

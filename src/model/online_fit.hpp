@@ -1,13 +1,15 @@
-// Online adaptive estimators closing the loop from executed stage times
-// back into the Eq. (1) cost model (ROADMAP item 5): a recursive
-// least-squares fit over Eq. (1)'s regressors streamed one observation at
-// a time, per-basestation EWMA predictors of the executed turbo-iteration
-// count, and NaN-proof EWMA duration trackers for adaptive migration-chunk
-// sizing. Everything here is substrate-agnostic: the virtual-time sim
-// feeds it exact stage costs, the real-thread runtime feeds it wall-clock
-// measurements, and both fall back to the static seeded estimates until
-// the fit has warmed up — a disabled/empty estimator never changes a
-// decision.
+// Online stage estimates closing the loop from executed stage times back
+// into the Eq. (1) cost model: a recursive least-squares fit over Eq. (1)'s
+// regressors streamed one observation at a time, per-basestation EWMA
+// predictors of the executed turbo-iteration count, and NaN-proof EWMA
+// duration trackers. OnlineEstimators bundles them into the one
+// stage-estimate state both substrates keep: the virtual-time sim builds one
+// per adaptive run and feeds it exact stage costs, the real-thread runtime
+// keeps one per run, seeded from its configured estimates, and feeds it
+// wall-clock measurements. refine_decode turns a caller's fit-free decode
+// estimate into what the shared admission rule reads; until the fit has
+// warmed up every prediction falls back to the caller's figure, so an empty
+// fit never changes a decision.
 #pragma once
 
 #include <array>
@@ -128,19 +130,26 @@ class IterationPredictor {
 
 /// NaN-proof EWMA over a nanosecond duration. Non-positive samples are
 /// ignored and value_or() never returns below 1 ns, so a consumer sizing
-/// migration chunks can divide by it safely.
+/// migration chunks can divide by it safely. A positive `seed` starts the
+/// value there, so the first sample moves it by `alpha` like every later
+/// one; without a seed the tracker is empty until its first sample, which
+/// replaces the value.
 class DurationEwma {
  public:
-  explicit DurationEwma(double alpha = 0.25) : alpha_(alpha) {}
+  explicit DurationEwma(double alpha = 0.25, Duration seed = 0)
+      : alpha_(alpha),
+        value_(static_cast<double>(seed)),
+        has_value_(seed > 0) {}
 
   void observe(Duration sample);
-  /// EWMA value once at least one sample landed, else `fallback`; >= 1 ns.
+  /// EWMA value once seeded or sampled, else `fallback`; >= 1 ns.
   Duration value_or(Duration fallback) const;
   std::size_t samples() const { return samples_; }
 
  private:
   double alpha_;
-  double value_ = 0.0;
+  double value_;
+  bool has_value_;
   std::size_t samples_ = 0;
 };
 
@@ -175,16 +184,29 @@ class MeanVarEwma {
   std::size_t samples_ = 0;
 };
 
-/// Bundle wired into the schedulers when adaptive estimation is enabled:
-/// the decode-stage Eq. (1) fit, one iteration predictor per basestation,
-/// and the per-subtask duration trackers replacing Algorithm 1's fixed
-/// chunk constants. All observe/predict helpers resolve the Eq. (1)
-/// regressors from (mcs, bs) via the PHY tables, so scheduler call sites
+/// One duration per estimated stage quantity: the seeds of
+/// OnlineEstimators' trackers, and the runtime's reading of them. A
+/// positive seed starts its tracker there, so the first sample moves it a
+/// quarter of the way like every later one (the runtime, seeded from its
+/// configured estimates); zero leaves it empty until its first sample, with
+/// the reader's fallback standing until then (the sim).
+struct StageTimes {
+  Duration fft_subtask = 0;
+  Duration demod = 0;
+  Duration decode_subtask = 0;
+};
+
+/// The one stage-estimate state of both substrates: the per-FFT-subtask,
+/// demod and per-code-block decode duration trackers, and, consulted only
+/// under adaptive estimation, the decode-stage Eq. (1) fit and one
+/// iteration predictor per basestation. All observe/predict helpers resolve
+/// the Eq. (1) regressors from (mcs, bs) via the PHY tables, so call sites
 /// stay one-liners.
 class OnlineEstimators {
  public:
   OnlineEstimators(unsigned num_antennas, unsigned num_prb,
                    unsigned num_basestations, unsigned max_iterations,
+                   const StageTimes& seeds = {},
                    const AdaptiveParams& params = {});
 
   // Prediction side (consulted before execution) -------------------------
@@ -196,13 +218,17 @@ class OnlineEstimators {
   /// anchors of the line capped decodes are costed on.
   Duration predict_decode_at(unsigned mcs, unsigned iterations,
                              Duration fallback) const;
-  /// Learned per-code-block decode time (adaptive migration chunk size).
+  /// Per-code-block decode time (Algorithm 1's decode t_p).
   Duration decode_subtask_or(Duration fallback) const {
     return decode_subtask_.value_or(fallback);
   }
-  /// Learned per-FFT-subtask time.
+  /// Per-FFT-subtask time.
   Duration fft_subtask_or(Duration fallback) const {
     return fft_subtask_.value_or(fallback);
+  }
+  /// Demod stage time.
+  Duration demod_or(Duration fallback) const {
+    return demod_.value_or(fallback);
   }
 
   // Observation side (fed after execution) -------------------------------
@@ -210,7 +236,10 @@ class OnlineEstimators {
   /// iteration count the turbo loop actually ran.
   void observe_decode(unsigned bs, unsigned mcs, unsigned executed_iterations,
                       Duration decode_ns, Duration decode_subtask_ns);
-  void observe_fft(Duration fft_subtask_ns);
+  void observe_fft(Duration fft_subtask_ns) {
+    fft_subtask_.observe(fft_subtask_ns);
+  }
+  void observe_demod(Duration demod_ns) { demod_.observe(demod_ns); }
 
   const Eq1OnlineFit& decode_fit() const { return fit_; }
   std::size_t decode_samples() const { return fit_.samples(); }
@@ -219,11 +248,56 @@ class OnlineEstimators {
   unsigned antennas_;
   unsigned num_prb_;
   unsigned lm_;
-  AdaptiveParams params_;
   Eq1OnlineFit fit_;
   std::vector<IterationPredictor> per_bs_;
   DurationEwma decode_subtask_;
   DurationEwma fft_subtask_;
+  DurationEwma demod_;
 };
+
+/// Eq. (1)'s decode cost as a line in the iteration count L, through its
+/// L = 1 and L = Lm anchors. at() is the slope-first integer interpolation
+/// the static task model has always used, so static decisions stay
+/// bit-identical.
+struct DecodeLine {
+  Duration at_one = 0;  ///< decode estimate at L = 1.
+  Duration at_lm = 0;   ///< decode estimate at L = Lm.
+  Duration at(unsigned l, unsigned lm) const {
+    if (lm <= 1) return at_lm;
+    const Duration slope = (at_lm - at_one) / static_cast<Duration>(lm - 1);
+    return at_one + static_cast<Duration>(l - 1) * slope;
+  }
+};
+
+/// The decode inputs of the shared admission rule (sched::admit_decode)
+/// besides the decode start and the deadline.
+struct DecodeEstimate {
+  Duration full = 0;     ///< full-quality estimate at `assumed` iterations.
+  DecodeLine line;       ///< costs capped decodes (read under degradation).
+  unsigned assumed = 0;  ///< turbo iterations `full` assumes.
+};
+
+/// Refines a caller's fit-free decode estimate `seed` with the online state
+/// `fit`; a null `fit` (static estimation) returns `seed` unchanged.
+/// Otherwise `assumed` becomes fit's iteration prediction for `bs`; `full`,
+/// when `fit_full`, the Eq. (1) fit at those iterations (callers whose full
+/// estimate is their own, like RT-OPEX's post-plan local worst case in the
+/// sim, pass false); and, when `with_line`, the line through the fit at
+/// L = 1 and L = Lm. Each falls back to seed's figure until the fit warms
+/// up. Callers pass with_line = degradation enabled, the only case in which
+/// admit_decode reads the line, so the fit is evaluated only when needed.
+inline DecodeEstimate refine_decode(const DecodeEstimate& seed,
+                                    const OnlineEstimators* fit, unsigned bs,
+                                    unsigned mcs, unsigned lm, bool fit_full,
+                                    bool with_line) {
+  if (!fit) return seed;
+  DecodeEstimate est = seed;
+  est.assumed = fit->predict_iterations(bs);
+  if (fit_full) est.full = fit->predict_decode_at(mcs, est.assumed, seed.full);
+  if (with_line)
+    est.line = {fit->predict_decode_at(mcs, 1, seed.line.at_one),
+                fit->predict_decode_at(mcs, lm, seed.line.at_lm)};
+  return est;
+}
 
 }  // namespace rtopex::model

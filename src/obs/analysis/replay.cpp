@@ -15,63 +15,49 @@ namespace {
 /// stay far below the default ring capacity on any one track.
 constexpr std::size_t kCollectEvery = 64;
 
-std::uint32_t meta_word(const sim::SubframeWork& w) {
-  return (w.mcs & 0xffu) | ((w.lm & 0xffu) << 8) |
-         (static_cast<std::uint32_t>(w.decodable) << 16) |
-         (static_cast<std::uint32_t>(w.lost) << 17);
-}
-
-void emit_field(Tracer& tracer, const sim::SubframeWork& w, unsigned track,
-                JobSpecField field, std::uint32_t value) {
-  TraceEvent ev;
-  ev.ts = w.radio_time;
-  ev.bs = w.bs;
-  ev.index = w.index;
-  ev.a = static_cast<std::uint32_t>(field);
-  ev.b = value;
-  ev.core = track;
-  ev.kind = EventKind::kJobSpec;
-  tracer.emit(ev);
-}
-
 }  // namespace
+
+void emit_job_spec(Tracer& tracer, const sim::SubframeWork& w,
+                   unsigned track) {
+  // In JobSpecField order: the field id is the index.
+  const std::uint32_t values[kNumJobSpecFields] = {
+      (w.mcs & 0xffu) | ((w.lm & 0xffu) << 8) |
+          (static_cast<std::uint32_t>(w.decodable) << 16) |
+          (static_cast<std::uint32_t>(w.lost) << 17),
+      w.iterations,
+      clamp_payload_ns(w.arrival - w.radio_time),
+      clamp_payload_ns(w.deadline - w.radio_time),
+      clamp_payload_ns(w.costs.fft),
+      clamp_payload_ns(w.costs.demod),
+      clamp_payload_ns(w.costs.decode),
+      w.costs.fft_subtasks,
+      clamp_payload_ns(w.costs.fft_subtask),
+      w.costs.decode_subtasks,
+      clamp_payload_ns(w.costs.decode_subtask),
+      clamp_payload_ns(w.wcet.fft),
+      clamp_payload_ns(w.wcet.demod),
+      clamp_payload_ns(w.wcet.decode),
+      clamp_payload_ns(w.wcet.fft_subtask),
+      clamp_payload_ns(w.wcet.decode_subtask),
+      clamp_payload_ns(w.decode_optimistic)};
+  for (std::uint32_t field = 0; field < kNumJobSpecFields; ++field) {
+    TraceEvent ev;
+    ev.ts = w.radio_time;
+    ev.bs = w.bs;
+    ev.index = w.index;
+    ev.a = field;
+    ev.b = values[field];
+    ev.core = track;
+    ev.kind = EventKind::kJobSpec;
+    tracer.emit(ev);
+  }
+}
 
 void capture_workload(Tracer& tracer, std::span<const sim::SubframeWork> work,
                       unsigned track) {
   std::size_t since_collect = 0;
   for (const sim::SubframeWork& w : work) {
-    emit_field(tracer, w, track, JobSpecField::kMeta, meta_word(w));
-    emit_field(tracer, w, track, JobSpecField::kIterations, w.iterations);
-    emit_field(tracer, w, track, JobSpecField::kArrivalOffsetNs,
-               clamp_payload_ns(w.arrival - w.radio_time));
-    emit_field(tracer, w, track, JobSpecField::kDeadlineOffsetNs,
-               clamp_payload_ns(w.deadline - w.radio_time));
-    emit_field(tracer, w, track, JobSpecField::kFftNs,
-               clamp_payload_ns(w.costs.fft));
-    emit_field(tracer, w, track, JobSpecField::kDemodNs,
-               clamp_payload_ns(w.costs.demod));
-    emit_field(tracer, w, track, JobSpecField::kDecodeNs,
-               clamp_payload_ns(w.costs.decode));
-    emit_field(tracer, w, track, JobSpecField::kFftSubtasks,
-               w.costs.fft_subtasks);
-    emit_field(tracer, w, track, JobSpecField::kFftSubtaskNs,
-               clamp_payload_ns(w.costs.fft_subtask));
-    emit_field(tracer, w, track, JobSpecField::kDecodeSubtasks,
-               w.costs.decode_subtasks);
-    emit_field(tracer, w, track, JobSpecField::kDecodeSubtaskNs,
-               clamp_payload_ns(w.costs.decode_subtask));
-    emit_field(tracer, w, track, JobSpecField::kWcetFftNs,
-               clamp_payload_ns(w.wcet.fft));
-    emit_field(tracer, w, track, JobSpecField::kWcetDemodNs,
-               clamp_payload_ns(w.wcet.demod));
-    emit_field(tracer, w, track, JobSpecField::kWcetDecodeNs,
-               clamp_payload_ns(w.wcet.decode));
-    emit_field(tracer, w, track, JobSpecField::kWcetFftSubtaskNs,
-               clamp_payload_ns(w.wcet.fft_subtask));
-    emit_field(tracer, w, track, JobSpecField::kWcetDecodeSubtaskNs,
-               clamp_payload_ns(w.wcet.decode_subtask));
-    emit_field(tracer, w, track, JobSpecField::kDecodeOptimisticNs,
-               clamp_payload_ns(w.decode_optimistic));
+    emit_job_spec(tracer, w, track);
     if (++since_collect >= kCollectEvery) {
       tracer.collect();
       since_collect = 0;

@@ -56,6 +56,14 @@ enum class JobSpecField : std::uint32_t {
 
 inline constexpr unsigned kNumJobSpecFields = 17;
 
+/// Emits one subframe's kJobSpec record: the 17 fields of `w` on `track`,
+/// stamped at its radio time. The capture format's one writer:
+/// capture_workload calls it per subframe, and NodeRuntime per processed,
+/// dropped, late or lost subframe (its measured costs, or the estimates in
+/// force for a subframe it never decoded). The caller owns `track`.
+void emit_job_spec(Tracer& tracer, const sim::SubframeWork& w,
+                   unsigned track);
+
 /// Emits the full ground truth of `work` as kJobSpec events on `track`
 /// (the sim is single-threaded, so any track is a legal producer) and
 /// drains the tracer periodically so the capture never overflows a ring.

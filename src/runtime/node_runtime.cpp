@@ -15,7 +15,7 @@
 #include "common/thread_utils.hpp"
 #include "model/online_fit.hpp"
 #include "model/task_cost_model.hpp"
-#include "obs/analysis/replay.hpp"  // kJobSpec field vocabulary (header-only)
+#include "obs/analysis/replay.hpp"
 #include "obs/histogram.hpp"
 #include "obs/profile/profile.hpp"
 #include "obs/profile/profile_report.hpp"
@@ -167,29 +167,21 @@ struct NodeRuntime::Impl {
   /// The queue every worker takes from in global mode (empty otherwise).
   JobQueue global_queue;
 
-  // Planning-model subtask/stage time estimates (seeded from the config,
-  // EWMA-updated at runtime).
-  std::atomic<std::int64_t> fft_subtask_est_ns;
-  std::atomic<std::int64_t> decode_subtask_est_ns;
-  std::atomic<std::int64_t> demod_est_ns;
+  /// The run's one stage-estimate state. Its FFT-subtask, demod and
+  /// per-code-block trackers start at the configured seeds; its Eq. (1) fit
+  /// and iteration predictors are consulted only under config.adaptive.
+  /// Workers read and feed it concurrently, so every access holds `est_mu`;
+  /// the critical sections are a handful of FLOPs against µs-scale stages.
+  std::mutex est_mu;
+  model::OnlineEstimators est;
   Duration migration_cost = microseconds(20);
 
-  /// Online adaptive estimators (null unless config.adaptive). Workers
-  /// observe and predict concurrently, so access goes through the mutex;
-  /// the critical sections are a handful of FLOPs against ms-scale jobs.
-  struct AdaptiveState {
-    std::mutex mu;
-    model::OnlineEstimators est;
-    explicit AdaptiveState(const RuntimeConfig& cfg)
-        : est(cfg.phy.num_antennas, cfg.phy.num_prb(), cfg.num_basestations,
-              cfg.phy.max_iterations, cfg.adaptive_params) {}
-  };
-  std::unique_ptr<AdaptiveState> adaptive;
-
-  Duration adaptive_decode_subtask(Duration fallback) {
-    if (!adaptive) return fallback;
-    std::lock_guard lock(adaptive->mu);
-    return adaptive->est.decode_subtask_or(fallback);
+  /// The three stage estimates in force.
+  model::StageTimes estimates() {
+    std::lock_guard lock(est_mu);
+    return {est.fft_subtask_or(config.initial_fft_subtask_est),
+            est.demod_or(config.initial_demod_est),
+            est.decode_subtask_or(config.initial_decode_subtask_est)};
   }
 
   std::atomic<std::size_t> migrations{0};
@@ -245,11 +237,12 @@ struct NodeRuntime::Impl {
   explicit Impl(const RuntimeConfig& cfg)
       : config(cfg),
         table(worker_count(cfg)),
-        fft_subtask_est_ns(cfg.initial_fft_subtask_est),
-        decode_subtask_est_ns(cfg.initial_decode_subtask_est),
-        demod_est_ns(cfg.initial_demod_est),
+        est(cfg.phy.num_antennas, cfg.phy.num_prb(), cfg.num_basestations,
+            cfg.phy.max_iterations,
+            {.fft_subtask = cfg.initial_fft_subtask_est,
+             .demod = cfg.initial_demod_est,
+             .decode_subtask = cfg.initial_decode_subtask_est}),
         fault_model(cfg.resilience.fronthaul_faults) {
-    if (cfg.adaptive) adaptive = std::make_unique<AdaptiveState>(cfg);
     for (unsigned i = 0; i < worker_count(cfg); ++i) {
       workers.push_back(std::make_unique<WorkerState>());
       workers.back()->mailbox.set_owner(i);
@@ -349,69 +342,46 @@ struct NodeRuntime::Impl {
 
   // ---- worker side ----------------------------------------------------
 
-  void update_estimate(std::atomic<std::int64_t>& est, Duration sample) {
-    // EWMA with alpha = 1/4.
-    const std::int64_t old = est.load(std::memory_order_relaxed);
-    est.store(old + (sample - old) / 4, std::memory_order_relaxed);
-  }
-
-  /// Workload capture: emits one kJobSpec record per field onto `track`
-  /// (the emitter's own SPSC track) so the drained trace is replayable by
-  /// obs/analysis/replay. Costs carry the measured stage times when the
-  /// subframe was actually processed; for dropped/late/lost subframes —
-  /// never decoded, so never measured — the planning estimates in force
-  /// stand in, which keeps a counterfactual replay able to schedule them.
-  void emit_job_spec(std::uint32_t track, const Job& j, unsigned mcs,
-                     const SubframeRecord& rec, std::size_t fft_n,
-                     std::size_t dec_n) {
-    if (!tracer) return;
-    using Field = obs::analysis::JobSpecField;
-    const unsigned lm = std::max(1u, config.phy.max_iterations);
-    const Duration fft_sub = fft_subtask_est_ns.load();
-    const Duration dec_sub = decode_subtask_est_ns.load();
+  /// Workload capture: one kJobSpec record of this subframe onto `track`
+  /// (the emitter's own SPSC track), through the capture format's one
+  /// writer, so the drained trace is replayable by obs/analysis/replay.
+  /// Costs carry the measured stage times when the subframe was actually
+  /// processed; for dropped/late/lost subframes — never decoded, so never
+  /// measured — the estimates in force stand in, which keeps a
+  /// counterfactual replay able to schedule them.
+  void capture_job(std::uint32_t track, const Job& j, unsigned mcs,
+                   const SubframeRecord& rec, std::size_t fft_n,
+                   std::size_t dec_n) {
+    if (!RTOPEX_TRACE_ENABLED || !tracer) return;
+    const model::StageTimes e = estimates();
+    const auto n_fft = static_cast<Duration>(fft_n);
+    const auto n_dec = static_cast<Duration>(dec_n);
+    const model::SubframeCosts wcet{
+        .fft = e.fft_subtask * n_fft, .demod = e.demod,
+        .decode = e.decode_subtask * n_dec,
+        .fft_subtasks = static_cast<unsigned>(fft_n),
+        .decode_subtasks = static_cast<unsigned>(dec_n),
+        .fft_subtask = e.fft_subtask, .decode_subtask = e.decode_subtask};
     const bool measured =
         !rec.lost && !rec.late_arrival && !rec.dropped && rec.timing.decode > 0;
-    const Duration fft =
-        measured ? rec.timing.fft : fft_sub * static_cast<Duration>(fft_n);
-    const Duration demod = measured ? rec.timing.demod : demod_est_ns.load();
-    const Duration decode =
-        measured ? rec.timing.decode : dec_sub * static_cast<Duration>(dec_n);
+    model::SubframeCosts costs = wcet;
+    if (measured) {
+      costs.fft = rec.timing.fft;
+      costs.demod = rec.timing.demod;
+      costs.decode = rec.timing.decode;
+      costs.fft_subtask = rec.timing.fft / n_fft;
+      costs.decode_subtask = rec.timing.decode / n_dec;
+    }
+    const unsigned lm = std::max(1u, config.phy.max_iterations);
     const unsigned iters = measured ? std::max(1u, rec.iterations) : lm;
-    auto put = [&](Field field, std::uint32_t value) {
-      RTOPEX_TRACE_EVENT(trc(), .ts = j.radio_time, .bs = j.bs,
-                         .index = j.index,
-                         .a = static_cast<std::uint32_t>(field), .b = value,
-                         .core = track, .kind = obs::EventKind::kJobSpec);
-    };
-    put(Field::kMeta, (mcs & 0xffu) | ((lm & 0xffu) << 8) |
-                          (static_cast<std::uint32_t>(
-                               measured ? rec.crc_ok : true)
-                           << 16) |
-                          (static_cast<std::uint32_t>(rec.lost) << 17));
-    put(Field::kIterations, iters);
-    put(Field::kArrivalOffsetNs, obs::clamp_payload_ns(j.arrival - j.radio_time));
-    put(Field::kDeadlineOffsetNs,
-        obs::clamp_payload_ns(j.deadline - j.radio_time));
-    put(Field::kFftNs, obs::clamp_payload_ns(fft));
-    put(Field::kDemodNs, obs::clamp_payload_ns(demod));
-    put(Field::kDecodeNs, obs::clamp_payload_ns(decode));
-    put(Field::kFftSubtasks, static_cast<std::uint32_t>(fft_n));
-    put(Field::kFftSubtaskNs,
-        obs::clamp_payload_ns(fft / static_cast<Duration>(std::max<std::size_t>(
-                                        1, fft_n))));
-    put(Field::kDecodeSubtasks, static_cast<std::uint32_t>(dec_n));
-    put(Field::kDecodeSubtaskNs,
-        obs::clamp_payload_ns(
-            decode / static_cast<Duration>(std::max<std::size_t>(1, dec_n))));
-    put(Field::kWcetFftNs,
-        obs::clamp_payload_ns(fft_sub * static_cast<Duration>(fft_n)));
-    put(Field::kWcetDemodNs, obs::clamp_payload_ns(demod_est_ns.load()));
-    put(Field::kWcetDecodeNs,
-        obs::clamp_payload_ns(dec_sub * static_cast<Duration>(dec_n)));
-    put(Field::kWcetFftSubtaskNs, obs::clamp_payload_ns(fft_sub));
-    put(Field::kWcetDecodeSubtaskNs, obs::clamp_payload_ns(dec_sub));
-    put(Field::kDecodeOptimisticNs,
-        obs::clamp_payload_ns(decode / static_cast<Duration>(iters)));
+    const sim::SubframeWork w{
+        .bs = j.bs, .index = j.index, .radio_time = j.radio_time,
+        .arrival = j.arrival, .deadline = j.deadline, .mcs = mcs,
+        .iterations = iters, .lm = lm,
+        .decodable = measured ? rec.crc_ok : true, .lost = rec.lost,
+        .costs = costs, .wcet = wcet,
+        .decode_optimistic = costs.decode / static_cast<Duration>(iters)};
+    obs::analysis::emit_job_spec(*tracer, w, track);
   }
 
   /// Runs a parallelizable stage with migration; returns subtask counts.
@@ -441,12 +411,7 @@ struct NodeRuntime::Impl {
         h->plan_window(self_id, k, window);
       if (window > 0) cands.push_back({k, window});
     }
-    std::sort(cands.begin(), cands.end(),
-              [](const auto& a, const auto& b) {
-                if (a.free_window != b.free_window)
-                  return a.free_window > b.free_window;
-                return a.core < b.core;
-              });
+    sched::sort_candidates(cands);
     sched::MigrationPlan& plan = workers[self_id]->plan;
     sched::plan_migration(static_cast<unsigned>(subtasks),
                           std::max<Duration>(tp_estimate, 1), migration_cost,
@@ -724,38 +689,30 @@ struct NodeRuntime::Impl {
     // schedulers share (sched::admit_decode): the FFT + demod estimates set
     // the decode start, and the decode must fit at full quality, or at a
     // shrunk turbo-iteration cap, or the subframe drops. The full-quality
-    // estimate is the per-code-block EWMA, which tracks Lm decodes, so capped
-    // decodes are costed on the line through (full / Lm, full). With
-    // adaptive estimation on, the learned MCS-aware Eq. (1) fit replaces
-    // both: at the per-BS predicted iteration count for the full estimate,
-    // at L = 1 and L = Lm for the line (the EWMA figures stay in force until
-    // the fit warms up). Without deadline enforcement the check always
-    // admits at full quality.
+    // estimate is the per-code-block tracker's, which tracks Lm decodes, so
+    // capped decodes are costed on the line through (full / Lm, full); with
+    // adaptive estimation on, model::refine_decode replaces both with the
+    // Eq. (1) fit at the per-BS predicted iteration count (the tracker's
+    // figures stay in force until the fit warms up). Without deadline
+    // enforcement the check always admits at full quality.
     const unsigned lm = config.phy.max_iterations;
-    const unsigned mcs = j.variant->mcs;
-    Duration fft_sub = fft_subtask_est_ns.load();
-    const Duration full_ewma =
-        decode_subtask_est_ns.load() * static_cast<Duration>(p.dec_n);
-    Duration full = full_ewma;
-    sched::DecodeLine line{full_ewma / static_cast<Duration>(lm), full_ewma};
-    unsigned assumed = lm;
-    if (adaptive) {
-      std::lock_guard lock(adaptive->mu);
-      const model::OnlineEstimators& est = adaptive->est;
-      fft_sub = est.fft_subtask_or(fft_sub);
-      assumed = est.predict_iterations(j.bs);
-      full = est.predict_decode_at(mcs, assumed, full_ewma);
-      line = {est.predict_decode_at(mcs, 1, line.at_one),
-              est.predict_decode_at(mcs, lm, full_ewma)};
+    const model::StageTimes e = estimates();
+    const Duration full = e.decode_subtask * static_cast<Duration>(p.dec_n);
+    model::DecodeEstimate dec{full, {full / static_cast<Duration>(lm), full},
+                              lm};
+    if (config.adaptive) {
+      std::lock_guard lock(est_mu);
+      dec = model::refine_decode(dec, &est, j.bs, j.variant->mcs, lm,
+                                 /*fit_full=*/true,
+                                 config.resilience.degrade.enabled);
     }
-    const TimePoint decode_start = clock.now() +
-                                   fft_sub * static_cast<Duration>(fft_n) +
-                                   demod_est_ns.load();
+    const Duration fft_est = e.fft_subtask * static_cast<Duration>(fft_n);
+    const TimePoint decode_start = clock.now() + fft_est + e.demod;
     const sched::Admission adm = sched::admit_decode(
         decode_start,
         config.enforce_deadlines ? j.deadline
                                  : std::numeric_limits<TimePoint>::max(),
-        full, line, assumed, lm, config.resilience.degrade);
+        dec.full, dec.line, dec.assumed, lm, config.resilience.degrade);
     if (adm.cap == 0) {
       scope.edge();
       rec.completion = scope.at();
@@ -767,8 +724,7 @@ struct NodeRuntime::Impl {
       return false;
     }
 
-    scope.edge(obs::Stage::kFft,
-               obs::clamp_payload_ns(fft_sub * static_cast<Duration>(fft_n)));
+    scope.edge(obs::Stage::kFft, obs::clamp_payload_ns(fft_est));
     if (adm.level != DegradeLevel::kNone) {
       job.iteration_cap = adm.cap;
       rec.degrade = adm.level;
@@ -778,16 +734,18 @@ struct NodeRuntime::Impl {
                          .stage = obs::Stage::kDecode);
     }
     if (migrate) {
-      run_stage_migrating(self_id, job, j, fft_n, fft_sub,
+      run_stage_migrating(self_id, job, j, fft_n, e.fft_subtask,
                           /*is_fft=*/true, rec.timing);
     } else {
       for (std::size_t i = 0; i < fft_n; ++i) rx->run_fft_subtask(job, i, ws);
     }
     scope.set_payload(static_cast<std::uint32_t>(fft_n), 0);
-    rec.timing.fft = scope.edge(
-        obs::Stage::kDemod, obs::clamp_payload_ns(demod_est_ns.load()));
-    update_estimate(fft_subtask_est_ns,
-                    rec.timing.fft / static_cast<Duration>(fft_n));
+    rec.timing.fft = scope.edge(obs::Stage::kDemod,
+                                obs::clamp_payload_ns(estimates().demod));
+    {
+      std::lock_guard lock(est_mu);
+      est.observe_fft(rec.timing.fft / static_cast<Duration>(fft_n));
+    }
 
     rx->demod_prepare(job);
     for (std::size_t i = 0; i < rx->demod_subtask_count(); ++i)
@@ -796,14 +754,16 @@ struct NodeRuntime::Impl {
     rec.timing.demod =
         scope.edge(obs::Stage::kDecode, obs::clamp_payload_ns(adm.estimate),
                    adm.iterations);
-    update_estimate(demod_est_ns, rec.timing.demod);
+    {
+      std::lock_guard lock(est_mu);
+      est.observe_demod(rec.timing.demod);
+    }
 
     // The decode stage itself runs in the pass.
     rx->decode_prepare(job, ws);
     p.dec_n = rx->decode_subtask_count(job);
-    // Migration chunks are sized with the learned per-subtask time
-    // (adaptive) or the global EWMA.
-    p.dec_sub_est = adaptive_decode_subtask(decode_subtask_est_ns.load());
+    // Migration chunks are sized with the per-code-block estimate.
+    p.dec_sub_est = estimates().decode_subtask;
     return true;
   }
 
@@ -826,24 +786,18 @@ struct NodeRuntime::Impl {
                                        rx_result.iterations));
     const Duration measured = p.scope.edge();
     rec.timing.decode = decode_attr >= 0 ? decode_attr : measured;
-    // A capped decode is cheaper than a full-quality one; feeding it into
-    // the EWMA would bias the full-quality estimate downward and admit
-    // subframes that then miss.
-    if (job.iteration_cap == 0)
-      update_estimate(decode_subtask_est_ns,
-                      rec.timing.decode / static_cast<Duration>(dec_n));
-
     rec.completion = p.scope.at();
     rec.crc_ok = rx_result.crc_ok;
     rec.iterations = rx_result.iterations;
     rec.deadline_missed = rec.completion > j.deadline;
-    if (adaptive && job.iteration_cap == 0) {
-      std::lock_guard lock(adaptive->mu);
-      adaptive->est.observe_fft(rec.timing.fft /
-                                static_cast<Duration>(p.fft_n));
-      adaptive->est.observe_decode(
-          j.bs, j.variant->mcs, rec.iterations, rec.timing.decode,
-          rec.timing.decode / static_cast<Duration>(dec_n));
+    // A capped decode is cheaper than a full-quality one; feeding it into
+    // the per-code-block tracker would bias the full-quality estimate
+    // downward and admit subframes that then miss.
+    if (job.iteration_cap == 0) {
+      std::lock_guard lock(est_mu);
+      est.observe_decode(j.bs, j.variant->mcs, rec.iterations,
+                         rec.timing.decode,
+                         rec.timing.decode / static_cast<Duration>(dec_n));
     }
   }
 
@@ -852,7 +806,7 @@ struct NodeRuntime::Impl {
   /// workload capture.
   SubframeRecord finish(unsigned self_id, const Job& j, JobProgress& p) {
     p.scope.close(p.rec.deadline_missed, p.rec.iterations);
-    emit_job_spec(self_id, j, j.variant->mcs, p.rec, p.fft_n, p.dec_n);
+    capture_job(self_id, j, j.variant->mcs, p.rec, p.fft_n, p.dec_n);
     return p.rec;
   }
 
@@ -959,7 +913,6 @@ struct NodeRuntime::Impl {
   /// so an underloaded node degenerates to batch-of-1.
   void worker(unsigned id) {
     if (config.pin_threads) pin_current_thread(worker_pin_core(id));
-    if (config.try_fifo_priority) set_current_thread_fifo(50);
     set_current_thread_name("rtopex-w" + std::to_string(id));
     const bool rtopex = config.mode == RuntimeMode::kRtOpex;
     // 1 in RT-OPEX mode, which rejects batch > 1 at construction.
@@ -1287,9 +1240,9 @@ RuntimeReport NodeRuntime::run() {
           lost_job.radio_time = radio_time;
           lost_job.arrival = arrival;
           lost_job.deadline = radio_time + cfg.deadline_budget;
-          im.emit_job_spec(im.ticker_track(), lost_job, rec.mcs, rec,
-                           im.rx->fft_subtask_count(),
-                           phy::num_code_blocks(rec.mcs, cfg.phy.num_prb()));
+          im.capture_job(im.ticker_track(), lost_job, rec.mcs, rec,
+                         im.rx->fft_subtask_count(),
+                         phy::num_code_blocks(rec.mcs, cfg.phy.num_prb()));
           continue;
         }
         at += f.extra_delay;

@@ -31,7 +31,6 @@
 
 #include "common/resilience.hpp"
 #include "common/time_types.hpp"
-#include "model/online_fit.hpp"
 #include "obs/health/health.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/profile/profile.hpp"
@@ -119,28 +118,28 @@ struct RuntimeConfig {
   std::vector<unsigned> mcs_cycle = {4, 16, 27};
 
   phy::UplinkConfig phy;          ///< antennas, bandwidth, Lm.
-  /// Initial planning-model estimates, EWMA-updated from the first job on.
-  /// The paper's testbed seeds these from offline WCET profiling; deploys
-  /// on different hardware should calibrate them (all must be positive).
+  /// Seeds of the run's one stage-estimate state (model::OnlineEstimators):
+  /// its per-FFT-subtask, demod and per-code-block decode trackers start
+  /// here, and every measured stage moves them a quarter of the way toward
+  /// the sample. The paper's testbed seeds these from offline WCET
+  /// profiling; deploys on different hardware should calibrate them (all
+  /// must be positive).
   Duration initial_fft_subtask_est = microseconds(50);
   Duration initial_decode_subtask_est = microseconds(500);
   Duration initial_demod_est = microseconds(500);
-  /// Slack-check dropping (paper §4.1): before the FFT, the EWMA-estimated
-  /// stage times go through sched::admit_decode, the admission rule the sim
+  /// Slack-check dropping (paper §4.1): before the FFT, the estimated stage
+  /// times go through sched::admit_decode, the admission rule the sim
   /// schedulers share, which drops the subframe (or, with
   /// resilience.degrade, caps its turbo iterations) when it cannot fit.
   /// Disabled configs admit everything at full quality and only record
   /// misses.
   bool enforce_deadlines = true;
-  /// Online adaptive estimation (opt-in): per-basestation turbo-iteration
-  /// predictors and a streaming Eq. (1) decode fit sharpen the slack check
-  /// and the migration chunk sizing. The static seeds above stay in force
-  /// as fallbacks until the fit warms up; with `adaptive` false the
-  /// original single-EWMA behaviour is untouched.
+  /// Online adaptive estimation (opt-in): the shared state's per-basestation
+  /// turbo-iteration predictors and streaming Eq. (1) decode fit sharpen
+  /// the slack check. The tracker figures stay in force until the fit warms
+  /// up; with `adaptive` false the fit is never consulted.
   bool adaptive = false;
-  model::AdaptiveParams adaptive_params;
   bool pin_threads = false;       ///< attempt CPU affinity (best effort).
-  bool try_fifo_priority = false; ///< attempt SCHED_FIFO (best effort).
   std::uint64_t seed = 1;
 
   ResilienceConfig resilience;

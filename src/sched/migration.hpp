@@ -11,6 +11,7 @@
 // when S <= 1 or candidates are exhausted.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -50,10 +51,21 @@ struct MigrationConstraints {
   bool local_keeps_majority = true;
 };
 
+/// Algorithm 1's candidate order, shared by the sim and the runtime:
+/// descending free window, ties broken by ascending core id.
+inline void sort_candidates(std::span<MigrationCandidate> candidates) {
+  std::sort(candidates.begin(), candidates.end(),
+            [](const MigrationCandidate& a, const MigrationCandidate& b) {
+              if (a.free_window != b.free_window)
+                return a.free_window > b.free_window;
+              return a.core < b.core;
+            });
+}
+
 /// Runs Algorithm 1 into `plan`, which it clears first. Callers keep one
 /// plan and reuse it: once its `chunks` can hold one entry per candidate,
 /// planning never allocates. Candidates are considered in the order given
-/// (callers typically sort by descending window). `subtask_time` must be
+/// (callers put them in sort_candidates' order). `subtask_time` must be
 /// > 0.
 void plan_migration(unsigned num_subtasks, Duration subtask_time,
                     Duration migration_cost,

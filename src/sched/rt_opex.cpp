@@ -55,10 +55,12 @@ struct StageOutcome {
 /// of each stage's subtasks into other cores' predicted idle windows, and
 /// run_stage plays the migration model out (claims, preemption at actual
 /// arrivals, recovery). The decode's full-quality estimate is the
-/// post-plan local worst case, planned before the slack check. Per-run
+/// post-plan local worst case, planned before the slack check; it stands
+/// under adaptive estimation too (no Eq. (1) fit replaces it). Per-run
 /// scratch, sized for one entry per core, so the subframe loop never
 /// allocates.
 struct MigratingStages {
+  static constexpr bool kFitsFull = false;
   const RtOpexConfig& config;
   std::vector<CoreState>& cores;
   std::span<const TimePoint> fails;
@@ -92,8 +94,7 @@ struct MigratingStages {
   // the predicted start of the parallelizable part); the full estimate is
   // the post-migration local worst case costed with that subtask time, the
   // static reference the same plan costed with the frozen WCET constant.
-  DecodeEstimates decode_estimates(const sim::SubframeWork& w, TimePoint t,
-                                   unsigned) {
+  DecodeEstimates decode_estimates(const sim::SubframeWork& w, TimePoint t) {
     // Per-subtask time the planner and the admission check assume: the
     // WCET constant, or — adaptive — the learned EWMA over executed
     // per-code-block times (Algorithm 1 with adaptive chunks).
@@ -155,12 +156,7 @@ struct MigratingStages {
       const Duration window = preempt - t;
       if (window > 0) cands.push_back({k, window});
     }
-    std::sort(cands.begin(), cands.end(),
-              [](const MigrationCandidate& a, const MigrationCandidate& b) {
-                if (a.free_window != b.free_window)
-                  return a.free_window > b.free_window;
-                return a.core < b.core;
-              });
+    sort_candidates(cands);
     return cands;
   }
 

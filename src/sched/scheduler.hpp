@@ -76,19 +76,8 @@ struct DegradeConfig {
   unsigned min_iterations = 1;
 };
 
-/// Eq. (1)'s decode cost as a line in the iteration count L, through its
-/// L = 1 and L = Lm anchors. at() is the slope-first integer interpolation
-/// the static task model has always used, so static decisions stay
-/// bit-identical.
-struct DecodeLine {
-  Duration at_one = 0;  ///< decode estimate at L = 1.
-  Duration at_lm = 0;   ///< decode estimate at L = Lm.
-  Duration at(unsigned l, unsigned lm) const {
-    if (lm <= 1) return at_lm;
-    const Duration slope = (at_lm - at_one) / static_cast<Duration>(lm - 1);
-    return at_one + static_cast<Duration>(l - 1) * slope;
-  }
-};
+/// Eq. (1)'s decode cost as a line in the iteration count L (model/).
+using DecodeLine = model::DecodeLine;
 
 /// The decode admission decision: cap 0 drops the subframe, cap Lm runs it
 /// at full quality, anything between is a degraded decode.
@@ -132,11 +121,11 @@ inline Admission admit_decode(TimePoint decode_start, TimePoint deadline,
 /// per-BS predicted iteration count instead of the frozen WCET/optimistic
 /// seed; RT-OPEX additionally sizes Algorithm-1 migration chunks with the
 /// learned per-code-block time. Disabled (the default), every decision is
-/// bit-identical to the static path. The regressor context fields are
-/// synced from the workload config by core::run_scheduler.
+/// bit-identical to the static path. The estimators keep
+/// model::AdaptiveParams' defaults; the regressor context fields are synced
+/// from the workload config by core::run_scheduler.
 struct AdaptiveConfig {
   bool enabled = false;
-  model::AdaptiveParams params;
   unsigned num_antennas = 2;
   unsigned num_prb = 50;        ///< PRBs of the cell (10 MHz default).
   unsigned max_iterations = 4;  ///< turbo Lm (PR-2 iteration cap).

@@ -10,35 +10,28 @@ std::optional<model::OnlineEstimators> make_estimators(
     const AdaptiveConfig& cfg, unsigned num_basestations) {
   if (!cfg.enabled) return std::nullopt;
   return model::OnlineEstimators(cfg.num_antennas, cfg.num_prb,
-                                 num_basestations, cfg.max_iterations,
-                                 cfg.params);
+                                 num_basestations, cfg.max_iterations);
 }
 
 namespace {
 
-/// The static task model's (jitter-free) decode line.
-DecodeLine static_line(const sim::SubframeWork& w) {
-  return {w.decode_optimistic, w.wcet.decode};
-}
-
 /// The chain's stages on the core itself. The decode's full-quality
-/// estimate is the WCET (kWcet) or best-case (kOptimistic) decode, or the
-/// Eq. (1) fit at the assumed iterations under adaptive estimation.
+/// estimate is the WCET (kWcet) or best-case (kOptimistic) decode, which
+/// the Eq. (1) fit at the assumed iterations replaces under adaptive
+/// estimation.
 struct SerialStages {
+  static constexpr bool kFitsFull = true;
   AdmissionPolicy admission;
-  const model::OnlineEstimators* adaptive;
 
   StageRun fft(const sim::SubframeWork& w, TimePoint t, SerialOutcome&) const {
     return {t + w.costs.fft};
   }
-  DecodeEstimates decode_estimates(const sim::SubframeWork& w, TimePoint,
-                                   unsigned assumed) const {
-    const Duration reference = admission == AdmissionPolicy::kWcet
-                                   ? w.wcet.decode
-                                   : w.decode_optimistic;
-    return {adaptive ? adaptive->predict_decode_at(w.mcs, assumed, reference)
-                     : reference,
-            reference};
+  DecodeEstimates decode_estimates(const sim::SubframeWork& w,
+                                   TimePoint) const {
+    const Duration full = admission == AdmissionPolicy::kWcet
+                              ? w.wcet.decode
+                              : w.decode_optimistic;
+    return {full, full};
   }
   StageRun decode(const sim::SubframeWork& w, TimePoint t,
                   SerialOutcome&) const {
@@ -47,21 +40,6 @@ struct SerialStages {
 };
 
 }  // namespace
-
-DecodeLine sim_decode_line(const sim::SubframeWork& w,
-                           const DegradeConfig& degrade,
-                           const model::OnlineEstimators* adaptive) {
-  if (!adaptive || !degrade.enabled) return static_line(w);
-  return {adaptive->predict_decode_at(w.mcs, 1, w.decode_optimistic),
-          adaptive->predict_decode_at(w.mcs, w.lm, w.wcet.decode)};
-}
-
-unsigned assumed_iterations(const sim::SubframeWork& w,
-                            AdmissionPolicy policy,
-                            const model::OnlineEstimators* adaptive) {
-  if (adaptive) return adaptive->predict_iterations(w.bs);
-  return policy == AdmissionPolicy::kWcet ? w.lm : 1;
-}
 
 std::optional<std::vector<sim::SubframeWork>> filter_faulted(
     std::span<const sim::SubframeWork> work, sim::SchedulerMetrics& metrics,
@@ -105,7 +83,7 @@ Duration degraded_decode_time(const sim::SubframeWork& w, unsigned cap) {
   // Scale the sampled (jittered) cost to the executed iteration count
   // along the model slope: jitter multiplies the whole decode, so the
   // ratio of model predictions carries it.
-  const DecodeLine line = static_line(w);
+  const DecodeLine line = static_decode_line(w);
   const Duration predicted = line.at(w.iterations, w.lm);
   if (predicted <= 0) return w.costs.decode;
   return static_cast<Duration>(
@@ -149,7 +127,7 @@ SerialOutcome execute_serial(const sim::SubframeWork& w, TimePoint start,
                              const DegradeConfig& degrade,
                              obs::Tracer* tracer, unsigned core,
                              model::OnlineEstimators* adaptive) {
-  SerialStages stages{admission, adaptive};
+  SerialStages stages{admission};
   return run_stage_chain(w, start, stages, entry_penalty, admission, degrade,
                          tracer, core, adaptive);
 }

@@ -51,12 +51,19 @@ struct StageRun {
   bool lost = false;   ///< migrated results lost (RT-OPEX, recovery off).
 };
 
-/// The decode's pair of full-quality estimates: the one admission checks
-/// and the frozen static seed's, which decode_est_ns is scored against.
+/// A scheduler's pair of fit-free full-quality decode estimates: the one
+/// admission checks (before refine_decode) and the frozen static seed's,
+/// which decode_est_ns is scored against.
 struct DecodeEstimates {
   Duration full = 0;
   Duration reference = 0;
 };
+
+/// The static task model's (jitter-free) decode line: the sim's seed for
+/// the Eq. (1) line capped decodes are costed on.
+inline DecodeLine static_decode_line(const sim::SubframeWork& w) {
+  return {w.decode_optimistic, w.wcet.decode};
+}
 
 /// Runs FFT -> demod -> decode on the core itself from `start`: the stage
 /// chain below with SerialStages. `entry_penalty` models extra
@@ -76,20 +83,6 @@ SerialOutcome execute_serial(const sim::SubframeWork& w, TimePoint start,
                              obs::Tracer* tracer = nullptr,
                              unsigned core = 0,
                              model::OnlineEstimators* adaptive = nullptr);
-
-/// The sim's admit_decode inputs besides the full estimate: the decode line
-/// (the static model's (decode_optimistic, wcet.decode) anchors, or the
-/// adaptive fit at L = 1 and L = Lm with those anchors as its warm-up
-/// fallback) and the iterations the full estimate assumes (Lm under kWcet,
-/// 1 under kOptimistic, the per-BS prediction under adaptive). admit_decode
-/// reads the line only under degradation, so without it the fit is not
-/// evaluated.
-DecodeLine sim_decode_line(const sim::SubframeWork& w,
-                           const DegradeConfig& degrade,
-                           const model::OnlineEstimators* adaptive);
-unsigned assumed_iterations(const sim::SubframeWork& w,
-                            AdmissionPolicy policy,
-                            const model::OnlineEstimators* adaptive);
 
 /// Applies a decode admission to `o` at decode start `t`: a drop marks the
 /// outcome and emits kDrop; otherwise it records the quality level, the
@@ -163,9 +156,14 @@ bool run_checked_stage(SerialOutcome& o, obs::Stage stage, Duration cost,
 /// migrated results were lost, every stage, drop, degrade and terminate
 /// event, and the feedback into a non-null `adaptive`. `stages`, chosen at
 /// compile time, runs the FFT (`fft(w, t, o)`), gives the decode's
-/// estimates at its start (`decode_estimates(w, t, assumed)`) and runs a
+/// fit-free estimates at its start (`decode_estimates(w, t)`) and runs a
 /// decode admitted at full quality (`decode(w, t, o)`); a capped decode
-/// runs serially on the core in every scheduler.
+/// runs serially on the core in every scheduler. model::refine_decode
+/// turns that estimate, the static line and the policy's iterations (Lm
+/// under kWcet, 1 under kOptimistic) into admit_decode's inputs: a
+/// non-null `adaptive` supplies the per-BS iteration prediction, the line
+/// (under degradation only) and, where `Stages::kFitsFull`, the full
+/// estimate.
 template <class Stages>
 SerialOutcome run_stage_chain(const sim::SubframeWork& w, TimePoint start,
                               Stages& stages, Duration entry_penalty,
@@ -196,15 +194,17 @@ SerialOutcome run_stage_chain(const sim::SubframeWork& w, TimePoint start,
                          [&](TimePoint at) { return at + w.costs.demod; }))
     return o;
 
-  // Decode: the scheduler's full-quality estimate through the one admission
-  // rule, then execution with termination at the deadline.
-  const unsigned assumed = assumed_iterations(w, admission, adaptive);
-  const DecodeEstimates est = stages.decode_estimates(w, t, assumed);
-  o.decode_static_est_ns = est.reference;
-  const Admission adm =
-      admit_decode(t, w.deadline, est.full,
-                   sim_decode_line(w, degrade, adaptive), assumed, w.lm,
-                   degrade);
+  // Decode: the scheduler's full-quality estimate, refined by the online
+  // state, through the one admission rule, then execution with termination
+  // at the deadline.
+  const DecodeEstimates own = stages.decode_estimates(w, t);
+  o.decode_static_est_ns = own.reference;
+  const model::DecodeEstimate est = model::refine_decode(
+      {own.full, static_decode_line(w),
+       admission == AdmissionPolicy::kWcet ? w.lm : 1u},
+      adaptive, w.bs, w.mcs, w.lm, Stages::kFitsFull, degrade.enabled);
+  const Admission adm = admit_decode(t, w.deadline, est.full, est.line,
+                                     est.assumed, w.lm, degrade);
   if (!apply_admission(o, adm, w, t, tracer, core)) return o;
   StageRun decode;
   if (adm.level == DegradeLevel::kNone) {

@@ -162,6 +162,123 @@ TEST(DurationEwma, FallsBackThenTracksAndStaysPositive) {
   EXPECT_GE(ewma.value_or(12345), 1);
 }
 
+TEST(DurationEwma, SeededStartMovesAQuarterOfTheWay) {
+  // A seeded tracker reads its seed before any sample, and its first sample
+  // moves it a quarter of the way like every later one — it never jumps to
+  // the first sample the way an empty tracker does.
+  DurationEwma seeded(/*alpha=*/0.25, /*seed=*/50000);
+  EXPECT_EQ(seeded.value_or(1), 50000);
+  seeded.observe(6400);
+  EXPECT_EQ(seeded.value_or(1), 39100);  // 3/4 * 50000 + 1/4 * 6400
+  seeded.observe(0);                     // ignored like any non-positive
+  EXPECT_EQ(seeded.value_or(1), 39100);
+  EXPECT_EQ(seeded.samples(), 1u);
+
+  DurationEwma empty(/*alpha=*/0.25);
+  empty.observe(6400);
+  EXPECT_EQ(empty.value_or(1), 6400);
+}
+
+TEST(OnlineEstimators, SeededTrackersStartAtTheirSeeds) {
+  OnlineEstimators est(/*num_antennas=*/2, /*num_prb=*/50,
+                       /*num_basestations=*/1, /*max_iterations=*/4,
+                       {.fft_subtask = 40000, .demod = 400000,
+                        .decode_subtask = 800000});
+  EXPECT_EQ(est.fft_subtask_or(1), 40000);
+  EXPECT_EQ(est.demod_or(1), 400000);
+  EXPECT_EQ(est.decode_subtask_or(1), 800000);
+  est.observe_fft(8000);
+  est.observe_demod(80000);
+  est.observe_decode(0, 15, 2, 400000, /*decode_subtask_ns=*/200000);
+  EXPECT_EQ(est.fft_subtask_or(1), 32000);
+  EXPECT_EQ(est.demod_or(1), 320000);
+  EXPECT_EQ(est.decode_subtask_or(1), 650000);
+}
+
+// --- refine_decode: the one refinement of a caller's decode estimate -----
+
+/// A fit-free estimate as the sim builds it under kWcet: full at Lm on the
+/// line through (400 us at L = 1, 1000 us at L = Lm = 4).
+DecodeEstimate wcet_seed() {
+  return {microseconds(1000), {microseconds(400), microseconds(1000)}, 4};
+}
+
+/// Feeds `est` enough steady 2-iteration decodes on basestation 0 to warm
+/// the Eq. (1) fit.
+void warm(OnlineEstimators& est) {
+  for (unsigned i = 0; i < 64; ++i)
+    est.observe_decode(/*bs=*/0, /*mcs=*/15, /*executed_iterations=*/2,
+                       /*decode_ns=*/500000, /*decode_subtask_ns=*/20000);
+  ASSERT_TRUE(est.decode_fit().warmed_up());
+}
+
+bool same(const DecodeEstimate& a, const DecodeEstimate& b) {
+  return a.full == b.full && a.line.at_one == b.line.at_one &&
+         a.line.at_lm == b.line.at_lm && a.assumed == b.assumed;
+}
+
+TEST(RefineDecode, StaticEstimationKeepsTheSeed) {
+  // No online state: the caller's estimate, line and assumed iterations
+  // pass through — Lm under WCET admission, 1 under optimistic admission.
+  const DecodeEstimate wcet = wcet_seed();
+  EXPECT_TRUE(same(refine_decode(wcet, nullptr, 0, 15, 4, true, true), wcet));
+  EXPECT_EQ(refine_decode(wcet, nullptr, 0, 15, 4, true, true).assumed, 4u);
+  DecodeEstimate optimistic = wcet;
+  optimistic.full = microseconds(400);
+  optimistic.assumed = 1;
+  EXPECT_EQ(refine_decode(optimistic, nullptr, 0, 15, 4, true, true).assumed,
+            1u);
+}
+
+TEST(RefineDecode, ColdFitKeepsTheSeedLineAndPredictsIterations) {
+  OnlineEstimators est(2, 50, 1, 4);
+  const DecodeEstimate seed = wcet_seed();
+  const DecodeEstimate r = refine_decode(seed, &est, 0, 15, 4, true, true);
+  // The cold fit falls back to the seed's figures; the assumed iterations
+  // are the (cold) per-BS prediction.
+  EXPECT_EQ(r.full, seed.full);
+  EXPECT_EQ(r.line.at_one, seed.line.at_one);
+  EXPECT_EQ(r.line.at_lm, seed.line.at_lm);
+  EXPECT_EQ(r.assumed, est.predict_iterations(0));
+}
+
+TEST(RefineDecode, WarmFitReplacesFullAndLineOnlyWhenAsked) {
+  OnlineEstimators est(2, 50, 1, 4);
+  warm(est);
+  const DecodeEstimate seed = wcet_seed();
+  const unsigned predicted = est.predict_iterations(0);
+  ASSERT_LT(predicted, 4u);
+
+  const DecodeEstimate with_line =
+      refine_decode(seed, &est, 0, 15, 4, /*fit_full=*/true,
+                    /*with_line=*/true);
+  EXPECT_EQ(with_line.assumed, predicted);
+  EXPECT_EQ(with_line.full, est.predict_decode_at(15, predicted, seed.full));
+  EXPECT_NE(with_line.full, seed.full);
+  EXPECT_EQ(with_line.line.at_one,
+            est.predict_decode_at(15, 1, seed.line.at_one));
+  EXPECT_EQ(with_line.line.at_lm,
+            est.predict_decode_at(15, 4, seed.line.at_lm));
+  EXPECT_NE(with_line.line.at_lm, seed.line.at_lm);
+
+  // Without degradation the line is never read: the seed's stays.
+  const DecodeEstimate no_line =
+      refine_decode(seed, &est, 0, 15, 4, /*fit_full=*/true,
+                    /*with_line=*/false);
+  EXPECT_EQ(no_line.full, with_line.full);
+  EXPECT_EQ(no_line.assumed, predicted);
+  EXPECT_EQ(no_line.line.at_one, seed.line.at_one);
+  EXPECT_EQ(no_line.line.at_lm, seed.line.at_lm);
+
+  // A caller whose full estimate is its own keeps it.
+  const DecodeEstimate own =
+      refine_decode(seed, &est, 0, 15, 4, /*fit_full=*/false,
+                    /*with_line=*/true);
+  EXPECT_EQ(own.full, seed.full);
+  EXPECT_EQ(own.assumed, predicted);
+  EXPECT_EQ(own.line.at_lm, with_line.line.at_lm);
+}
+
 TEST(OnlineEstimators, EndToEndWarmupAndBounds) {
   const unsigned lm = 4;
   OnlineEstimators est(/*num_antennas=*/2, /*num_prb=*/50,

@@ -12,6 +12,7 @@
 #include <string>
 #include <tuple>
 
+#include "obs/analysis/replay.hpp"
 #include "obs/prom_lint.hpp"
 #include "runtime/fault_injection.hpp"
 #include "runtime/node_runtime.hpp"
@@ -286,6 +287,148 @@ TEST(NodeRuntimeTest, StageEdgesShareOneInstant) {
   // Migration needs an idle peer, which a loaded host may never offer; the
   // host half of the check is then vacuous.
   if (report.migrations > 0) EXPECT_GT(host_samples, 0u);
+}
+
+TEST(NodeRuntimeTest, StageEstimatesStepAQuarterFromTheirSeeds) {
+  // The run's one estimate state starts at the configured seeds, and every
+  // measured stage moves it a quarter of the way, with adaptive estimation
+  // off or on: subframe 0's kStageBegin estimates are the seeds, and
+  // subframe 1's are one seeded step from subframe 0's measured widths (per
+  // subtask for the FFT and the decode). Seeds far above the kernels' costs
+  // keep that step far from the sample it moves toward; deadlines are off
+  // so nothing drops on them, and before 32 decodes the fit is cold, so the
+  // adaptive decode estimate is the tracker's too.
+  if (!RTOPEX_TRACE_ENABLED) GTEST_SKIP() << "built with RTOPEX_TRACING=OFF";
+  for (const bool adaptive : {false, true}) {
+    SCOPED_TRACE(adaptive ? "adaptive" : "static");
+    auto cfg = small_config(RuntimeMode::kPartitioned);
+    cfg.num_basestations = 1;
+    cfg.cores_per_bs = 1;
+    cfg.subframes_per_bs = 2;
+    cfg.enforce_deadlines = false;
+    cfg.adaptive = adaptive;
+    cfg.trace.enabled = true;
+    cfg.initial_fft_subtask_est = milliseconds(1);
+    cfg.initial_demod_est = milliseconds(20);
+    cfg.initial_decode_subtask_est = milliseconds(20);
+    NodeRuntime runtime(cfg);
+    const auto report = runtime.run();
+    check_complete(report, cfg);
+    ASSERT_EQ(report.trace.total_drops(), 0u);
+    std::map<std::pair<std::uint32_t, obs::Stage>, double> estimate;
+    for (const auto& ev : report.trace.events)
+      if (ev.kind == obs::EventKind::kStageBegin)
+        estimate[{ev.index, ev.stage}] = ev.a;
+    const auto begin = [&](std::uint32_t index, obs::Stage stage) {
+      return estimate[{index, stage}];
+    };
+    const auto& r0 = report.records[0];
+    ASSERT_EQ(r0.index, 0u);
+    const auto blocks = [&](std::uint32_t index) {
+      return static_cast<double>(phy::num_code_blocks(
+          report.records[index].mcs, cfg.phy.num_prb()));
+    };
+    const double fft_n = cfg.phy.num_antennas * phy::kSymbolsPerSubframe;
+    const auto step = [](Duration seed, double sample) {
+      return 0.75 * static_cast<double>(seed) + 0.25 * sample;
+    };
+
+    EXPECT_EQ(begin(0, obs::Stage::kFft),
+              static_cast<double>(cfg.initial_fft_subtask_est) * fft_n);
+    EXPECT_EQ(begin(0, obs::Stage::kDemod),
+              static_cast<double>(cfg.initial_demod_est));
+    EXPECT_EQ(begin(0, obs::Stage::kDecode),
+              static_cast<double>(cfg.initial_decode_subtask_est) * blocks(0));
+
+    const double fft_sub = step(
+        cfg.initial_fft_subtask_est,
+        static_cast<double>(r0.timing.fft / static_cast<Duration>(fft_n)));
+    EXPECT_NEAR(begin(1, obs::Stage::kFft), fft_sub * fft_n, fft_n);
+    EXPECT_NEAR(begin(1, obs::Stage::kDemod),
+                step(cfg.initial_demod_est,
+                     static_cast<double>(r0.timing.demod)),
+                1.0);
+    const double dec_sub =
+        step(cfg.initial_decode_subtask_est,
+             static_cast<double>(r0.timing.decode /
+                                 static_cast<Duration>(blocks(0))));
+    EXPECT_NEAR(begin(1, obs::Stage::kDecode), dec_sub * blocks(1),
+                blocks(1));
+  }
+}
+
+TEST(NodeRuntimeTest, RtOpexAdaptiveMigratesOnTheSharedEstimates) {
+  // Adaptive RT-OPEX with migration forced through plan_window: every
+  // worker reads and feeds the one estimate state while its peers host its
+  // chunks, and past the fit's 32-decode warm-up the slack check admits on
+  // the Eq. (1) fit. Conservation and CRC must hold throughout.
+  fault::Hooks hooks;
+  hooks.plan_window = [](unsigned, unsigned, Duration& window) {
+    window = milliseconds(1000);
+  };
+  fault::ScopedInjection inject(std::move(hooks));
+  auto cfg = small_config(RuntimeMode::kRtOpex);
+  cfg.adaptive = true;
+  cfg.mcs_cycle = {27, 16};  // multi-code-block subframes: migratable decode
+  cfg.subframes_per_bs = 24;
+  cfg.subframe_period = milliseconds(5) * test::pacing_scale();
+  NodeRuntime runtime(cfg);
+  const auto report = runtime.run();
+  check_complete(report, cfg);
+  EXPECT_EQ(report.dropped, 0u);
+  EXPECT_GT(report.migrations, 0u);
+  std::size_t migrated_in_records = 0;
+  for (const auto& r : report.records)
+    migrated_in_records += r.timing.fft_migrated + r.timing.decode_migrated;
+  EXPECT_EQ(report.migrations, migrated_in_records);
+}
+
+TEST(NodeRuntimeTest, CaptureRecoversEveryOfferedSubframe) {
+  // The workload capture of a traced run with fronthaul loss: one
+  // SubframeWork per offered (bs, index), the lost ones flagged, the
+  // decoded ones with their measured (positive) costs and the PHY's
+  // subtask counts.
+  if (!RTOPEX_TRACE_ENABLED) GTEST_SKIP() << "built with RTOPEX_TRACING=OFF";
+  auto cfg = small_config(RuntimeMode::kPartitioned);
+  cfg.subframes_per_bs = 10;
+  cfg.subframe_period = milliseconds(20) * test::pacing_scale();
+  cfg.deadline_budget = milliseconds(40) * test::pacing_scale();
+  cfg.resilience.fronthaul_faults.loss_prob = 0.35;
+  cfg.trace.enabled = true;
+  NodeRuntime runtime(cfg);
+  const auto report = runtime.run();
+  ASSERT_EQ(report.trace.total_drops(), 0u);
+  ASSERT_GE(report.resilience.lost_subframes, 1u);
+  const auto work = obs::analysis::recover_workload(report.trace);
+  ASSERT_EQ(work.size(), report.records.size());
+
+  std::map<std::pair<unsigned, std::uint32_t>, const sim::SubframeWork*> by_id;
+  for (const auto& w : work)
+    EXPECT_TRUE(by_id.emplace(std::make_pair(w.bs, w.index), &w).second)
+        << "bs=" << w.bs << " idx=" << w.index;
+  for (const auto& r : report.records) {
+    SCOPED_TRACE("bs=" + std::to_string(r.bs) + " idx=" +
+                 std::to_string(r.index));
+    const auto it = by_id.find({r.bs, r.index});
+    ASSERT_NE(it, by_id.end());
+    const sim::SubframeWork& w = *it->second;
+    EXPECT_EQ(w.lost, r.lost);
+    EXPECT_EQ(w.mcs, r.mcs);
+    EXPECT_EQ(w.radio_time, r.radio_time);
+    EXPECT_EQ(w.costs.fft_subtasks,
+              cfg.phy.num_antennas * phy::kSymbolsPerSubframe);
+    EXPECT_EQ(w.costs.decode_subtasks,
+              phy::num_code_blocks(r.mcs, cfg.phy.num_prb()));
+    if (r.lost || r.dropped || r.late_arrival) continue;
+    EXPECT_EQ(w.costs.fft, r.timing.fft);
+    EXPECT_EQ(w.costs.demod, r.timing.demod);
+    EXPECT_EQ(w.costs.decode, r.timing.decode);
+    EXPECT_GT(w.costs.fft_subtask, 0);
+    EXPECT_GT(w.costs.demod, 0);
+    EXPECT_GT(w.costs.decode_subtask, 0);
+    EXPECT_EQ(w.iterations, r.iterations);
+    EXPECT_EQ(w.decodable, r.crc_ok);
+  }
 }
 
 TEST(NodeRuntimeTest, LiveSnapshotDeclaresThePostRunSeries) {

@@ -96,6 +96,26 @@ TEST(MigrationPlanTest, ReusedPlanIsRefilledFromScratch) {
   EXPECT_EQ(plan.local_subtasks, fresh.local_subtasks);
 }
 
+TEST(MigrationPlanTest, CandidateOrderIsWindowThenCoreId) {
+  // Algorithm 1's one candidate order: descending window, equal windows by
+  // ascending core id, whatever order the caller gathered them in.
+  std::vector<MigrationCandidate> cands = {{3, microseconds(200)},
+                                           {5, microseconds(900)},
+                                           {1, microseconds(200)},
+                                           {4, microseconds(900)},
+                                           {2, microseconds(50)}};
+  sort_candidates(cands);
+  const std::vector<unsigned> cores = {4, 5, 1, 3, 2};
+  ASSERT_EQ(cands.size(), cores.size());
+  for (std::size_t i = 0; i < cores.size(); ++i)
+    EXPECT_EQ(cands[i].core, cores[i]) << "position " << i;
+  // The planner takes them in that order: the tie at 900 us goes to core 4.
+  MigrationPlan plan;
+  plan_migration(8, microseconds(100), microseconds(20), cands, plan);
+  ASSERT_FALSE(plan.chunks.empty());
+  EXPECT_EQ(plan.chunks.front().core, 4u);
+}
+
 TEST(MigrationPlanTest, RejectsNonPositiveSubtaskTime) {
   MigrationPlan plan;
   EXPECT_THROW(plan_migration(4, 0, microseconds(20), {}, plan),

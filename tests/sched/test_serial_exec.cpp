@@ -179,14 +179,12 @@ TEST(AdmitDecodeTest, StaticLineIsTheTaskModelInterpolation) {
   // The static sim line must keep the slope-first integer expression every
   // committed figure was produced with.
   const auto w = make_work(27, 4);
-  const DecodeLine line = sim_decode_line(w, {true, 1}, nullptr);
+  const DecodeLine line = static_decode_line(w);
   const Duration slope = (w.wcet.decode - w.decode_optimistic) /
                          static_cast<Duration>(w.lm - 1);
   for (unsigned l = 1; l <= w.lm; ++l)
     EXPECT_EQ(line.at(l, w.lm),
               w.decode_optimistic + static_cast<Duration>(l - 1) * slope);
-  EXPECT_EQ(assumed_iterations(w, AdmissionPolicy::kWcet, nullptr), w.lm);
-  EXPECT_EQ(assumed_iterations(w, AdmissionPolicy::kOptimistic, nullptr), 1u);
 }
 
 }  // namespace
